@@ -16,8 +16,11 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/...
 
+# perfbench/ is its own module, so the root `./...` neither builds nor vets
+# it; vetting it here catches an API change that would break the benchmark.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Tier-1 suite under the heavy fault-injection profile with the race detector:
 # every pipeline test runs against a seeded schedule of DNS failures, resets,

@@ -603,40 +603,6 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkEmitPDNSParallel measures the sharded emission path across worker
-// counts; the workers=1 case degenerates to EmitPDNS and is the baseline for
-// the speedup claim.
-func BenchmarkEmitPDNSParallel(b *testing.B) {
-	pop := workload.Generate(workload.Config{Seed: 5, Scale: 0.002})
-	resolver := dnssim.NewResolver()
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sinks := make([]func(*pdns.Record) error, workers)
-			counts := make([]int64, workers)
-			for i := range sinks {
-				i := i
-				sinks[i] = func(*pdns.Record) error { counts[i]++; return nil }
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var n int64
-			for i := 0; i < b.N; i++ {
-				for j := range counts {
-					counts[j] = 0
-				}
-				if err := workload.EmitPDNSParallel(pop, resolver, workers, sinks...); err != nil {
-					b.Fatal(err)
-				}
-				n = 0
-				for _, c := range counts {
-					n += c
-				}
-			}
-			b.ReportMetric(float64(n), "records/op")
-		})
-	}
-}
-
 // BenchmarkAggregateParallel measures the full substrate→identification hot
 // path — emission plus §3.2 aggregation with shard-local aggregators and the
 // final merge — across worker counts.
@@ -649,7 +615,7 @@ func BenchmarkAggregateParallel(b *testing.B) {
 			b.ResetTimer()
 			var scanned int64
 			for i := 0; i < b.N; i++ {
-				ag, err := workload.AggregateParallel(context.Background(), pop, resolver, nil, workers, nil)
+				ag, err := workload.AggregateParallelCkpt(context.Background(), pop, resolver, nil, workers, nil, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

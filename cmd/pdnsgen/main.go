@@ -93,33 +93,9 @@ func main() {
 	}
 	writer := pdns.NewWriter(sink, f)
 	resolver := dnssim.NewResolver()
-	// Serial generation streams through a columnar batch — same bytes as
-	// per-record writes, without the per-line encoding allocations. The
-	// multi-worker path needs records in population order, so it keeps the
-	// ordered scalar fan-out.
-	if *workers == 1 {
-		batch := pdns.NewRecordBatch(pdns.DefaultBatchRows)
-		flush := func(b *pdns.RecordBatch) error {
-			if err := writer.WriteBatch(b); err != nil {
-				return err
-			}
-			b.Reset()
-			return nil
-		}
-		err := workload.EmitPDNS(pop, resolver, func(r *pdns.Record) error {
-			batch.AppendRecord(r)
-			if batch.Len() >= pdns.DefaultBatchRows {
-				return flush(batch)
-			}
-			return nil
-		})
-		if err == nil && batch.Len() > 0 {
-			err = flush(batch)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else if err := workload.EmitPDNSOrdered(pop, resolver, *workers, writer.Write); err != nil {
+	// Generation streams columnar batches in population order — the same
+	// bytes as per-record writes, for every -workers value.
+	if err := workload.EmitPDNSOrdered(pop, resolver, *workers, writer.WriteBatch); err != nil {
 		log.Fatal(err)
 	}
 	if err := writer.Flush(); err != nil {

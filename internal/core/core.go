@@ -532,7 +532,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	// Emission and aggregation shard by FQDN across cfg.Workers: each
 	// worker feeds its own aggregator from its own per-function RNG
 	// streams, and the shard aggregates merge into the exact result the
-	// serial pass produces (see workload.AggregateParallel).
+	// serial pass produces (see workload.AggregateParallelCkpt).
 	sctx, sp := startStage(ctx, "identify")
 	w := workload.Window()
 	// Under chaos a deterministic fraction of the feed is corrupted before

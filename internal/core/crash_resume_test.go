@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +94,17 @@ func crashChildMain() int {
 		return fail(err)
 	}
 	return 0
+}
+
+// withCrash adds a crash=<spec> option to the SCF_CHAOS profile that the
+// matrix's baseline and resume children inherit through an empty chaos spec.
+// A bare "crash=" spec implies the none profile, so without this the crash
+// child of a `make chaos` run would measure a different configuration.
+func withCrash(spec string) string {
+	if env := strings.TrimSpace(os.Getenv(fault.EnvVar)); env != "" {
+		return env + ",crash=" + spec
+	}
+	return "crash=" + spec
 }
 
 // crashCell is one matrix coordinate.
@@ -245,7 +257,7 @@ func TestCrashResumeMatrix(t *testing.T) {
 		t.Run(cell.name(), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			code, out := runChild(t, dir, "crash="+cell.spec, matrixScale, matrixTimeoutMS, cell.workers, matrixInterval, false)
+			code, out := runChild(t, dir, withCrash(cell.spec), matrixScale, matrixTimeoutMS, cell.workers, matrixInterval, false)
 			if code != fault.CrashExitCode {
 				t.Fatalf("crash child exited %d, want %d:\n%s", code, fault.CrashExitCode, out)
 			}
@@ -278,12 +290,14 @@ func TestCrashResumeGoldenConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test; skipped in -short")
 	}
+	// The golden configuration pins -chaos none, so both children do too
+	// rather than inheriting SCF_CHAOS.
 	dir := t.TempDir()
-	code, out := runChild(t, dir, "crash=cluster", "0.01", "2000", 4, 10000, false)
+	code, out := runChild(t, dir, "none,crash=cluster", "0.01", "2000", 4, 10000, false)
 	if code != fault.CrashExitCode {
 		t.Fatalf("crash child exited %d, want %d:\n%s", code, fault.CrashExitCode, out)
 	}
-	if code, out = runChild(t, dir, "", "0.01", "2000", 4, 10000, true); code != 0 {
+	if code, out = runChild(t, dir, "none", "0.01", "2000", 4, 10000, true); code != 0 {
 		t.Fatalf("resume child exited %d, want 0:\n%s", code, out)
 	}
 	got := archiveDir(t, dir)

@@ -14,7 +14,7 @@ import (
 // many goroutines at once — cold lookup-cache misses, hot hits, deletion
 // writes and deletion checks interleaved — so `go test -race` covers the
 // exact access pattern of the parallel emission workers. Each goroutine owns
-// its RNG, mirroring workload.EmitPDNSParallel.
+// its RNG, mirroring the parallel emission workers.
 func TestResolverConcurrent(t *testing.T) {
 	r := NewResolver()
 	names := make([]string, 64)

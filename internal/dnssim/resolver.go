@@ -30,7 +30,7 @@ type Answer struct {
 
 // Resolver answers queries for function FQDNs according to each provider's
 // policy. It is safe for concurrent use: one Resolver serves every worker of
-// the parallel emission path (workload.EmitPDNSParallel).
+// the parallel emission path (workload.AggregateParallelCkpt).
 //
 // Concurrency audit, per field: the matcher and per-provider policies are
 // built once and read-only afterwards; the deletion set is guarded by mu;

@@ -56,7 +56,7 @@ func (a *Aggregator) EncodeState(w io.Writer) error {
 
 // DecodeAggregatorState restores an aggregator serialised by EncodeState.
 // The matcher is re-injected by the caller (nil selects all collected
-// providers, matching workload.AggregateParallel); telemetry is re-attached
+// providers, matching workload.AggregateParallelCkpt); telemetry is re-attached
 // with Instrument/InstrumentShard as usual. The returned aggregator accepts
 // further Add/AddBatch calls and Finishes identically to one that was never
 // serialised.

@@ -22,9 +22,10 @@ import (
 // covered prefix outright — no replay, no RNG cursor bookkeeping — and the
 // remaining functions emit byte-identical rows.
 type EmitCheckpoint struct {
-	// Interval is the row period between snapshots; <= 0 disables periodic
-	// snapshots. A cancellation-time snapshot still fires whenever Snapshot
-	// is set, so an interrupted run is resumable even at interval 0.
+	// Interval is the row period between snapshots — one fires after each
+	// multiple of Interval emitted rows; <= 0 disables periodic snapshots.
+	// A cancellation-time snapshot still fires whenever Snapshot is set, so
+	// an interrupted run is resumable even at interval 0.
 	Interval int64
 	// Snapshot persists the emission frontier: functions completed per
 	// shard, the shard aggregators (quiescent for the duration of the
@@ -70,7 +71,10 @@ type emitCoord struct {
 }
 
 // maybeSnapshot takes a periodic snapshot when the row counter has crossed
-// the next due mark. Called between functions with no locks held.
+// the next due mark. Due marks sit at fixed multiples of Interval, so the
+// snapshot count of a run is rows/Interval whatever the worker count and
+// however far past a mark the snapshotting worker overshot. Called between
+// functions with no locks held.
 func (c *emitCoord) maybeSnapshot() {
 	if c.ck == nil || c.ck.Snapshot == nil || c.ck.Interval <= 0 {
 		return
@@ -83,15 +87,19 @@ func (c *emitCoord) maybeSnapshot() {
 	if c.rows.Load() < c.nextDue.Load() {
 		return // another worker snapshotted while we waited
 	}
-	c.snapshotLocked()
-	c.nextDue.Store(c.rows.Load() + c.ck.Interval)
+	c.nextDue.Store(nextMark(c.snapshotLocked(), c.ck.Interval))
+}
+
+// nextMark returns the first multiple of interval strictly above rows.
+func nextMark(rows, interval int64) int64 {
+	return (rows/interval + 1) * interval
 }
 
 // snapshotLocked quiesces every shard — acquiring all shard locks, so no
 // function is mid-emission anywhere — flushes pending batch rows into the
-// aggregators, and hands the frontier to the Snapshot hook. Caller holds
-// snapMu.
-func (c *emitCoord) snapshotLocked() {
+// aggregators, and hands the frontier to the Snapshot hook. It returns the
+// row count snapshotted. Caller holds snapMu.
+func (c *emitCoord) snapshotLocked() int64 {
 	progress := make([]int64, len(c.shards))
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
@@ -107,6 +115,7 @@ func (c *emitCoord) snapshotLocked() {
 		c.shards[i].mu.Unlock()
 	}
 	c.ck.Snapshot(progress, c.aggs, rows)
+	return rows
 }
 
 // countRow bumps the global row counter and feeds the crash injector.
@@ -117,109 +126,34 @@ func (c *emitCoord) countRow() {
 	}
 }
 
-// emitShardBatchCkpt is the coordinator's columnar shard loop: the same
-// batch reuse and flush cadence as emitShardBatch, plus function-granular
-// locking, resume skip, cancellation checks, and row accounting.
-func (c *emitCoord) emitShardBatchCkpt(ctx context.Context, pop *Population, resolver *dnssim.Resolver, i int, funcs []*Function, rowsPerBatch int, sink func(*pdns.RecordBatch) error) error {
+// emitShard is the one shard loop: it drives the shard's batch emitter over
+// funcs with function-granular locking, resume skip, cancellation checks and
+// a final flush. Rows are counted through the emitter's onRow hook.
+func (c *emitCoord) emitShard(ctx context.Context, i int, funcs []*Function, e *batchEmitter) error {
 	st := &c.shards[i]
-	batch := pdns.NewRecordBatch(rowsPerBatch)
-	sc := &emitScratch{}
-	var fsym pdns.Sym
-	counting := c.ck != nil
-	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
-		batch.Append(fsym, t, batch.Syms.Intern(rdata), firstUnix, lastUnix, cnt, day)
-		if counting {
-			c.countRow()
-		}
-		if batch.Len() >= rowsPerBatch {
-			if err := sink(batch); err != nil {
-				return err
-			}
-			batch.Reset()
-		}
-		return nil
-	}
 	st.mu.Lock()
-	start := st.progress
-	st.flush = func() error {
-		if batch.Len() == 0 {
-			return nil
-		}
-		err := sink(batch)
-		batch.Reset()
-		return err
-	}
+	start := st.progress // functions durable in the resumed-from run; no replay needed
+	st.flush = e.flush
 	st.mu.Unlock()
 
-	for fi := int64(0); fi < int64(len(funcs)); fi++ {
-		if fi < start {
-			continue // durable in the resumed-from run; RNG streams are per-function, so no replay needed
-		}
+	for fi := start; fi < int64(len(funcs)); fi++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f := funcs[fi]
 		st.mu.Lock()
-		fsym = batch.Syms.Intern(f.FQDN)
-		err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row)
+		err := e.emit(funcs[fi])
 		if err == nil {
 			st.progress = fi + 1
 		}
 		st.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-		}
-		c.maybeSnapshot()
-	}
-	st.mu.Lock()
-	err := st.flush()
-	st.mu.Unlock()
-	return err
-}
-
-// emitShardScalarCkpt is the scalar twin, used when mutate hooks force
-// per-record sinks. Records fold into the aggregator immediately, so there
-// is no pending batch to flush at a snapshot.
-func (c *emitCoord) emitShardScalarCkpt(ctx context.Context, pop *Population, resolver *dnssim.Resolver, i int, funcs []*Function, sink func(*pdns.Record) error) error {
-	st := &c.shards[i]
-	sc := &emitScratch{}
-	counting := c.ck != nil
-	inner := sink
-	if counting {
-		inner = func(r *pdns.Record) error {
-			if err := sink(r); err != nil {
-				return err
-			}
-			c.countRow()
-			return nil
-		}
-	}
-	row := sc.scalarRow(inner)
-	st.mu.Lock()
-	start := st.progress
-	st.mu.Unlock()
-
-	for fi := int64(0); fi < int64(len(funcs)); fi++ {
-		if fi < start {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f := funcs[fi]
-		st.mu.Lock()
-		sc.fqdn = f.FQDN
-		err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row)
-		if err == nil {
-			st.progress = fi + 1
-		}
-		st.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-		}
 		c.maybeSnapshot()
 	}
-	return nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return e.flush()
 }
 
 // ctxOnlyErrors reports whether every non-nil shard error is a context
@@ -233,15 +167,38 @@ func ctxOnlyErrors(errs []error) bool {
 	return true
 }
 
-// AggregateParallelCkpt is AggregateParallel with a durability seam: ck (may
-// be nil) snapshots the emission frontier periodically and on cancellation,
-// and rs (may be nil) restarts from a snapshotted frontier — restored shard
-// aggregators continue accumulating and each shard skips its covered
-// function prefix. With both nil the behaviour and output match
-// AggregateParallel exactly; with either set, the final Aggregate is still
-// byte-identical to an uninterrupted run, because progress is tracked at
-// whole-function granularity and per-function RNG streams make emission
-// independent of which run emitted the earlier functions.
+// AggregateParallelCkpt runs the whole substrate→identification hot path —
+// synthetic PDNS emission plus §3.2 aggregation — on a worker pool: one
+// shard-local pdns.Aggregator per worker fed directly, batch by batch
+// (Aggregator.AddBatch), by that worker's batch emitter, merged at the end.
+// Because functions are sharded by FQDN and every per-FQDN stream is
+// order-independent, the result is identical to the serial EmitPDNS →
+// Aggregator pass for any worker count.
+//
+// Each shard aggregator is pre-sized from its expected function count, and
+// the merge folds the smaller shards into the largest one instead of
+// growing shard 0's maps by the whole fleet — the two fixes for the
+// negative scaling the bench history recorded at workers=2.
+//
+// ctx carries the stage trace: each worker shard records an
+// "emit-shard-<i>" span with its record count. reg receives the
+// aggregators' shared throughput counters; both may be nil. A nil matcher
+// selects all collected providers.
+//
+// ck (may be nil) snapshots the emission frontier periodically and on
+// cancellation, and rs (may be nil) restarts from a snapshotted frontier —
+// restored shard aggregators continue accumulating and each shard skips its
+// covered function prefix. The final Aggregate is byte-identical to an
+// uninterrupted run's, because progress is tracked at whole-function
+// granularity and per-function RNG streams make emission independent of
+// which run emitted the earlier functions.
+//
+// mutate hooks, if given, run on each record before aggregation — the
+// fault-injection layer uses one to corrupt a deterministic fraction of the
+// feed (mangled records then fail validation inside the aggregator and are
+// counted as dropped, exactly as a real feed's garbage rows would be). A
+// hook must be safe for concurrent calls; each record it sees is owned by
+// the current worker for the duration of the call.
 func AggregateParallelCkpt(ctx context.Context, pop *Population, resolver *dnssim.Resolver, matcher *providers.Matcher, workers int, reg *obs.Registry, ck *EmitCheckpoint, rs *EmitResume, mutate ...func(*pdns.Record)) (*pdns.Aggregate, error) {
 	workers = normWorkers(workers)
 	if rs != nil && (len(rs.Progress) != workers || len(rs.Shards) != workers) {
@@ -281,7 +238,7 @@ func AggregateParallelCkpt(ctx context.Context, pop *Population, resolver *dnssi
 		}
 	}
 	if ck != nil && ck.Interval > 0 {
-		c.nextDue.Store(c.rows.Load() + ck.Interval)
+		c.nextDue.Store(nextMark(c.rows.Load(), ck.Interval))
 	}
 
 	shards := shardFunctions(pop, workers)
@@ -296,29 +253,18 @@ func AggregateParallelCkpt(ctx context.Context, pop *Population, resolver *dnssi
 			// startStage puts the "stage" label there), so profile samples
 			// answer "which shard of identify burnt the time".
 			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("shard", fmt.Sprintf("%d", wkr))))
-			if len(mutate) == 0 {
-				agg := aggs[wkr]
-				sink := func(b *pdns.RecordBatch) error {
-					agg.AddBatch(b)
-					n := int64(b.Len())
-					counts[wkr] += n
-					emitted[wkr].Add(n)
-					return nil
-				}
-				errs[wkr] = c.emitShardBatchCkpt(ctx, pop, resolver, wkr, shards[wkr], pdns.DefaultBatchRows, sink)
-			} else {
-				agg := aggs[wkr]
-				sink := func(r *pdns.Record) error {
-					for _, m := range mutate {
-						m(r)
-					}
-					agg.Add(r)
-					counts[wkr]++
-					emitted[wkr].Inc()
-					return nil
-				}
-				errs[wkr] = c.emitShardScalarCkpt(ctx, pop, resolver, wkr, shards[wkr], sink)
+			agg := aggs[wkr]
+			e := newBatchEmitter(pop, resolver, pdns.DefaultBatchRows, func(b *pdns.RecordBatch) error {
+				agg.AddBatch(b)
+				n := int64(b.Len())
+				counts[wkr] += n
+				emitted[wkr].Add(n)
+				return nil
+			}, mutate)
+			if ck != nil {
+				e.onRow = c.countRow
 			}
+			errs[wkr] = c.emitShard(ctx, wkr, shards[wkr], e)
 		}(wkr)
 	}
 	wg.Wait()

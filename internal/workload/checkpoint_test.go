@@ -61,10 +61,7 @@ func TestAggregateParallelCkptResume(t *testing.T) {
 	pop := testPop(t, 0.004)
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			want, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := aggregateParallel(t, pop, workers)
 			var snaps []frontier
 			got, err := AggregateParallelCkpt(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil, captureSnapshots(&snaps), nil)
 			if err != nil {
@@ -95,10 +92,7 @@ func TestAggregateParallelCkptResume(t *testing.T) {
 // result — the contract scfpipe's SIGINT path depends on.
 func TestAggregateParallelCkptCancelSnapshot(t *testing.T) {
 	pop := testPop(t, 0.004)
-	want, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := aggregateParallel(t, pop, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	var snaps []frontier
 	ck := captureSnapshots(&snaps)
@@ -110,7 +104,7 @@ func TestAggregateParallelCkptCancelSnapshot(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = AggregateParallelCkpt(ctx, pop, dnssim.NewResolver(), nil, 2, nil, ck, nil)
+	_, err := AggregateParallelCkpt(ctx, pop, dnssim.NewResolver(), nil, 2, nil, ck, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -137,5 +131,29 @@ func TestAggregateParallelCkptShardMismatch(t *testing.T) {
 	rs := &EmitResume{Progress: []int64{0, 0}, Shards: make([]*pdns.Aggregator, 2)}
 	if _, err := AggregateParallelCkpt(context.Background(), pop, dnssim.NewResolver(), nil, 4, nil, nil, rs); err == nil {
 		t.Fatal("resume with 2 shards accepted by a 4-worker run")
+	}
+}
+
+// TestEmitCheckpointCadence: periodic snapshots fire once per multiple of
+// Interval — rows/Interval of them — for every worker count and on every
+// run, instead of drifting by each snapshot's overshoot. The interval is
+// chosen so the last mark falls a few rows before the end of emission.
+func TestEmitCheckpointCadence(t *testing.T) {
+	pop := testPop(t, 0.004)
+	rows := aggregateParallel(t, pop, 1).Scanned
+	interval := rows/5 - 2
+	for _, workers := range []int{1, 2, 8} {
+		for run := 0; run < 3; run++ {
+			var snaps []frontier
+			ck := captureSnapshots(&snaps)
+			ck.Interval = interval
+			if _, err := AggregateParallelCkpt(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil, ck, nil); err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(snaps)) != rows/interval {
+				t.Fatalf("workers=%d run %d: %d snapshots over %d rows at interval %d, want %d",
+					workers, run, len(snaps), rows, interval, rows/interval)
+			}
+		}
 	}
 }

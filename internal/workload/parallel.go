@@ -1,15 +1,12 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
 
 	"repro/internal/dnssim"
-	"repro/internal/obs"
 	"repro/internal/pdns"
-	"repro/internal/providers"
 )
 
 // normWorkers clamps a worker count: <= 0 selects GOMAXPROCS.
@@ -18,70 +15,6 @@ func normWorkers(workers int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
-}
-
-// EmitPDNSParallel emits the population's PDNS history across a pool of
-// workers. Functions are sharded by pdns.ShardByFQDN, so all records of one
-// function stay on one worker and arrive in their serial order; because
-// every function draws from its own (seed, FQDN)-seeded RNG stream, each
-// record is byte-identical to what EmitPDNS would have produced — only the
-// interleaving across functions differs.
-//
-// Sinks receive the records: pass one sink per worker (sink i sees exactly
-// shard i, called from a single goroutine) to aggregate shard-locally
-// without any cross-worker synchronisation, or a single sink to funnel all
-// shards into one consumer — the single sink is then serialised with a
-// mutex, so it stays correct but no longer scales. workers <= 0 selects
-// GOMAXPROCS. The first error (by shard index) cancels the remaining work.
-func EmitPDNSParallel(pop *Population, resolver *dnssim.Resolver, workers int, sinks ...func(*pdns.Record) error) error {
-	workers = normWorkers(workers)
-	switch {
-	case len(sinks) == 0:
-		return fmt.Errorf("workload: EmitPDNSParallel needs at least one sink")
-	case len(sinks) == 1 && workers > 1:
-		var mu sync.Mutex
-		inner := sinks[0]
-		guarded := func(r *pdns.Record) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return inner(r)
-		}
-		sinks = make([]func(*pdns.Record) error, workers)
-		for i := range sinks {
-			sinks[i] = guarded
-		}
-	case len(sinks) != workers:
-		return fmt.Errorf("workload: EmitPDNSParallel got %d sinks for %d workers (want 1 or exactly %d)", len(sinks), workers, workers)
-	}
-	if workers == 1 {
-		return EmitPDNS(pop, resolver, sinks[0])
-	}
-
-	shards := shardFunctions(pop, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			sc := &emitScratch{}
-			row := sc.scalarRow(sinks[wkr])
-			for _, f := range shards[wkr] {
-				sc.fqdn = f.FQDN
-				if err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row); err != nil {
-					errs[wkr] = fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-					return
-				}
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // shardFunctions pre-shards the function list by pdns.ShardByFQDN so each
@@ -95,164 +28,122 @@ func shardFunctions(pop *Population, workers int) [][]*Function {
 	return shards
 }
 
-// EmitPDNSParallelBatch is the columnar form of EmitPDNSParallel: each
-// worker fills a shard-local pdns.RecordBatch — FQDNs and rdata interned
-// into the batch's own Symtab, numeric columns appended in place — and
-// flushes it to its sink every rowsPerBatch rows plus once at stream end.
-// The batch (and its intern table) is reused across flushes, so sinks must
-// consume rows before returning; symbol IDs are stable for the lifetime of
-// the shard's stream. rowsPerBatch <= 0 selects pdns.DefaultBatchRows.
+// batchEmitter is the one columnar record path: it generates per-function
+// streams into a reused pdns.RecordBatch — the FQDN interned once per
+// function, rdata interned per row, numeric columns appended in place — and
+// hands the batch to its sink. The batch and its intern table live for the
+// emitter's whole stream, so symbol IDs are stable across flushes (DESIGN
+// #26) and sinks must consume rows before returning. One emitter serves one
+// goroutine; AggregateParallelCkpt's shard loop and EmitPDNSOrdered both
+// drive one per worker.
 //
-// Exactly one sink per worker is required (sink i sees shard i from a
-// single goroutine); the records, grouped per function, are the same
-// streams EmitPDNS produces, so shard-local aggregation of the batches is
-// bit-identical to the serial scalar pass for any worker count.
-func EmitPDNSParallelBatch(pop *Population, resolver *dnssim.Resolver, workers, rowsPerBatch int, sinks ...func(*pdns.RecordBatch) error) error {
-	workers = normWorkers(workers)
-	if len(sinks) != workers {
-		return fmt.Errorf("workload: EmitPDNSParallelBatch got %d sinks for %d workers (want exactly %d)", len(sinks), workers, workers)
-	}
-	if rowsPerBatch <= 0 {
-		rowsPerBatch = pdns.DefaultBatchRows
-	}
-	if workers == 1 {
-		return emitShardBatch(pop, resolver, pop.Functions, rowsPerBatch, sinks[0])
-	}
-	shards := shardFunctions(pop, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			errs[wkr] = emitShardBatch(pop, resolver, shards[wkr], rowsPerBatch, sinks[wkr])
-		}(wkr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// Mutate hooks, when present, see each row as the scratch pdns.Record
+// before it is appended with AppendRecord, so fault injection rides the
+// same batch path as clean emission.
+type batchEmitter struct {
+	pop      *Population
+	resolver *dnssim.Resolver
+	batch    *pdns.RecordBatch
+	sc       emitScratch
+	fsym     pdns.Sym
+	row      rowFunc
+	limit    int // flush once the batch holds this many rows; 0 = only on flush()
+	sink     func(*pdns.RecordBatch) error
+	mutate   []func(*pdns.Record)
+	onRow    func() // observes every appended row; may be nil
+}
+
+func newBatchEmitter(pop *Population, resolver *dnssim.Resolver, limit int, sink func(*pdns.RecordBatch) error, mutate []func(*pdns.Record)) *batchEmitter {
+	e := &batchEmitter{pop: pop, resolver: resolver, batch: pdns.NewRecordBatch(limit), limit: limit, sink: sink, mutate: mutate}
+	e.row = e.appendRow
+	return e
+}
+
+// emit appends one function's records, flushing whenever the batch fills.
+func (e *batchEmitter) emit(f *Function) error {
+	e.fsym = e.batch.Syms.Intern(f.FQDN)
+	e.sc.fqdn = f.FQDN
+	if err := emitFunctionInto(e.pop, f, e.resolver, functionRNG(e.pop.Config.Seed, f.FQDN), &e.sc, e.row); err != nil {
+		return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
 	}
 	return nil
 }
 
-// emitShardBatch generates one shard's record stream into a reused batch.
-func emitShardBatch(pop *Population, resolver *dnssim.Resolver, funcs []*Function, rowsPerBatch int, sink func(*pdns.RecordBatch) error) error {
-	batch := pdns.NewRecordBatch(rowsPerBatch)
-	sc := &emitScratch{}
-	var fsym pdns.Sym
-	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
-		batch.Append(fsym, t, batch.Syms.Intern(rdata), firstUnix, lastUnix, cnt, day)
-		if batch.Len() >= rowsPerBatch {
-			if err := sink(batch); err != nil {
-				return err
-			}
-			batch.Reset()
+func (e *batchEmitter) appendRow(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
+	if len(e.mutate) == 0 {
+		e.batch.Append(e.fsym, t, e.batch.Syms.Intern(rdata), firstUnix, lastUnix, cnt, day)
+	} else {
+		r := e.sc.record(t, rdata, firstUnix, lastUnix, cnt, day)
+		for _, m := range e.mutate {
+			m(r)
 		}
+		e.batch.AppendRecord(r)
+	}
+	if e.onRow != nil {
+		e.onRow()
+	}
+	if e.limit > 0 && e.batch.Len() >= e.limit {
+		return e.flush()
+	}
+	return nil
+}
+
+// flush hands any pending rows to the sink and resets the batch.
+func (e *batchEmitter) flush() error {
+	if e.batch.Len() == 0 {
 		return nil
 	}
-	for _, f := range funcs {
-		fsym = batch.Syms.Intern(f.FQDN)
-		if err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row); err != nil {
-			return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-		}
-	}
-	if batch.Len() > 0 {
-		return sink(batch)
-	}
-	return nil
+	err := e.sink(e.batch)
+	e.batch.Reset()
+	return err
 }
+
+// orderedSpan is the number of consecutive functions each worker emits per
+// EmitPDNSOrdered block. It bounds buffered rows to a block's histories
+// while amortising the block barrier.
+const orderedSpan = 64
 
 // EmitPDNSOrdered produces the exact record sequence of EmitPDNS — same
-// records, same order, byte-identical output — while generating the
-// per-function streams on a worker pool. It exists for sinks that care
-// about stream order (dataset writers); consumers that aggregate should
-// prefer EmitPDNSParallel, which never buffers. The sink is always called
-// from the caller's goroutine. workers <= 0 selects GOMAXPROCS.
-func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, sink func(*pdns.Record) error) error {
+// records, same order, so a dataset written batch by batch is
+// byte-identical to one written record by record — while generating the
+// per-function streams on a worker pool. Each block of the population is
+// split into contiguous per-worker sub-ranges, emitted in parallel, and
+// flushed in worker order. The sink is always called from the caller's
+// goroutine, must consume the batch before returning, and sees each worker's
+// batch (with that worker's intern table) in turn. workers <= 0 selects
+// GOMAXPROCS.
+func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, sink func(*pdns.RecordBatch) error) error {
 	workers = normWorkers(workers)
-	if workers == 1 {
-		return EmitPDNS(pop, resolver, sink)
+	ems := make([]*batchEmitter, workers)
+	for i := range ems {
+		ems[i] = newBatchEmitter(pop, resolver, 0, sink, nil)
 	}
-
-	// Batched fan-out: fill per-function record buffers in parallel, flush
-	// them in population order, repeat. The batch barrier keeps memory
-	// bounded to batch-size function histories while the flush of batch k
-	// overlaps nothing — in practice generation dominates, so the barrier
-	// costs a few percent, not the parallelism.
-	const batchPerWorker = 16
-	batch := workers * batchPerWorker
-	bufs := make([][]pdns.Record, batch)
-	errsBuf := make([]error, batch)
-	for lo := 0; lo < len(pop.Functions); lo += batch {
-		hi := lo + batch
-		if hi > len(pop.Functions) {
-			hi = len(pop.Functions)
-		}
+	errs := make([]error, workers)
+	fns := pop.Functions
+	for lo := 0; lo < len(fns); lo += workers * orderedSpan {
+		hi := min(lo+workers*orderedSpan, len(fns))
 		var wg sync.WaitGroup
-		for wkr := 0; wkr < workers; wkr++ {
+		for w, e := range ems {
+			sub := fns[min(lo+w*orderedSpan, hi):min(lo+(w+1)*orderedSpan, hi)]
 			wg.Add(1)
-			go func(wkr int) {
+			go func() {
 				defer wg.Done()
-				for i := lo + wkr; i < hi; i += workers {
-					f := pop.Functions[i]
-					buf := bufs[i-lo][:0]
-					err := emitFunction(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), func(r *pdns.Record) error {
-						buf = append(buf, *r)
-						return nil
-					})
-					bufs[i-lo] = buf
-					if err != nil {
-						errsBuf[i-lo] = fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
+				for _, f := range sub {
+					if errs[w] = e.emit(f); errs[w] != nil {
+						return
 					}
 				}
-			}(wkr)
+			}()
 		}
 		wg.Wait()
-		for i := lo; i < hi; i++ {
-			if err := errsBuf[i-lo]; err != nil {
-				return err
+		for w, e := range ems {
+			if errs[w] != nil {
+				return errs[w]
 			}
-			for j := range bufs[i-lo] {
-				if err := sink(&bufs[i-lo][j]); err != nil {
-					return err
-				}
+			if err := e.flush(); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
-}
-
-// AggregateParallel runs the whole substrate→identification hot path —
-// synthetic PDNS emission plus §3.2 aggregation — on a worker pool: one
-// shard-local pdns.Aggregator per worker fed directly by that worker's
-// emission stream (no channel funnel, no record copies), merged at the end.
-// Because functions are sharded by FQDN and every per-FQDN stream is
-// order-independent, the result is identical to the serial EmitPDNS →
-// Aggregator pass for any worker count.
-//
-// Without mutate hooks the records flow as columnar batches
-// (EmitPDNSParallelBatch → Aggregator.AddBatch): interned strings, no
-// per-record allocation. Hooks take *pdns.Record, so their presence selects
-// the scalar path — fault injection keeps working unchanged at scalar cost.
-//
-// Each shard aggregator is pre-sized from its expected function count, and
-// the merge folds the smaller shards into the largest one instead of
-// growing shard 0's maps by the whole fleet — the two fixes for the
-// negative scaling the bench history recorded at workers=2.
-//
-// ctx carries the stage trace: each worker shard records an
-// "emit-shard-<i>" span with its function and record counts. reg receives
-// the aggregators' shared throughput counters; both may be nil. A nil
-// matcher selects all collected providers.
-//
-// mutate hooks, if given, run on each record before aggregation — the
-// fault-injection layer uses one to corrupt a deterministic fraction of the
-// feed (mangled records then fail validation inside the aggregator and are
-// counted as dropped, exactly as a real feed's garbage rows would be). A
-// hook must be safe for concurrent calls; each record it sees is owned by
-// the current worker for the duration of the call.
-func AggregateParallel(ctx context.Context, pop *Population, resolver *dnssim.Resolver, matcher *providers.Matcher, workers int, reg *obs.Registry, mutate ...func(*pdns.Record)) (*pdns.Aggregate, error) {
-	return AggregateParallelCkpt(ctx, pop, resolver, matcher, workers, reg, nil, nil, mutate...)
 }

@@ -1,11 +1,11 @@
 package workload
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -15,18 +15,32 @@ import (
 )
 
 // serialAggregate is the reference path: the sequential EmitPDNS feeding one
-// Aggregator, exactly as the pipeline ran before parallelisation.
-func serialAggregate(t *testing.T, pop *Population) *pdns.Aggregate {
+// scalar Aggregator, exactly as the pipeline ran before parallelisation.
+// Mutate hooks, if given, run on each record before Add.
+func serialAggregate(t *testing.T, pop *Population, mutate ...func(*pdns.Record)) *pdns.Aggregate {
 	t.Helper()
 	w := Window()
 	agg := pdns.NewAggregator(nil, w.Start, w.End)
 	if err := EmitPDNS(pop, dnssim.NewResolver(), func(r *pdns.Record) error {
+		for _, m := range mutate {
+			m(r)
+		}
 		agg.Add(r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return agg.Finish()
+}
+
+// aggregateParallel is AggregateParallelCkpt without a checkpoint seam.
+func aggregateParallel(t *testing.T, pop *Population, workers int, mutate ...func(*pdns.Record)) *pdns.Aggregate {
+	t.Helper()
+	ag, err := AggregateParallelCkpt(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil, nil, nil, mutate...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ag
 }
 
 // TestAggregateParallelMatchesSerial is the determinism regression for the
@@ -43,10 +57,7 @@ func TestAggregateParallelMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := aggregateParallel(t, pop, workers)
 			if got.Scanned != want.Scanned || got.Matched != want.Matched {
 				t.Fatalf("scanned/matched = %d/%d, want %d/%d",
 					got.Scanned, got.Matched, want.Scanned, want.Matched)
@@ -71,33 +82,42 @@ func TestAggregateParallelMatchesSerial(t *testing.T) {
 }
 
 // TestEmitPDNSOrderedMatchesSerial checks the stronger guarantee of the
-// ordered variant: the record sequence — values and order — equals the
-// sequential emission exactly, so dataset files are byte-identical.
+// ordered writer: a dataset written batch by batch from it is byte-identical
+// to the per-record Writer.Write of the serial emission, in both formats and
+// for every worker count — what keeps pdnsgen output independent of
+// -workers. A failing sink aborts the stream with its error.
 func TestEmitPDNSOrderedMatchesSerial(t *testing.T) {
 	pop := testPop(t, 0.002)
-	var want []pdns.Record
-	if err := EmitPDNS(pop, dnssim.NewResolver(), func(r *pdns.Record) error {
-		want = append(want, *r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	write := func(f pdns.Format, emit func(w *pdns.Writer) error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		w := pdns.NewWriter(&buf, f)
+		if err := emit(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	for _, workers := range []int{1, 3, 8} {
+	formats := map[string]pdns.Format{"tsv": pdns.TSV, "jsonl": pdns.JSONL}
+	want := map[string][]byte{}
+	for name, f := range formats {
+		want[name] = write(f, func(w *pdns.Writer) error { return EmitPDNS(pop, dnssim.NewResolver(), w.Write) })
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var got []pdns.Record
-			if err := EmitPDNSOrdered(pop, dnssim.NewResolver(), workers, func(r *pdns.Record) error {
-				got = append(got, *r)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("emitted %d records, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+			for name, f := range formats {
+				got := write(f, func(w *pdns.Writer) error {
+					return EmitPDNSOrdered(pop, dnssim.NewResolver(), workers, w.WriteBatch)
+				})
+				if !bytes.Equal(got, want[name]) {
+					t.Errorf("%s: ordered output (%d bytes) differs from serial Write (%d bytes)", name, len(got), len(want[name]))
 				}
+			}
+			boom := errors.New("boom")
+			if err := EmitPDNSOrdered(pop, dnssim.NewResolver(), workers, func(*pdns.RecordBatch) error { return boom }); !errors.Is(err, boom) {
+				t.Errorf("sink error: got %v, want %v", err, boom)
 			}
 		})
 	}
@@ -121,63 +141,45 @@ func TestGenerateWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestEmitPDNSParallelSinkContract(t *testing.T) {
-	pop := testPop(t, 0.001)
-	res := dnssim.NewResolver()
-	if err := EmitPDNSParallel(pop, res, 2); err == nil {
-		t.Error("no sinks: want error, got nil")
+// emitShards drives one batch emitter per FQDN shard over its functions,
+// the way AggregateParallelCkpt's shard loop does, with sinkFor(i) as shard
+// i's sink, flushing every limit rows.
+func emitShards(pop *Population, workers, limit int, sinkFor func(i int) func(*pdns.RecordBatch) error) error {
+	for i, funcs := range shardFunctions(pop, workers) {
+		e := newBatchEmitter(pop, dnssim.NewResolver(), limit, sinkFor(i), nil)
+		for _, f := range funcs {
+			if err := e.emit(f); err != nil {
+				return err
+			}
+		}
+		if err := e.flush(); err != nil {
+			return err
+		}
 	}
-	sink := func(*pdns.Record) error { return nil }
-	if err := EmitPDNSParallel(pop, res, 4, sink, sink, sink); err == nil {
-		t.Error("3 sinks for 4 workers: want error, got nil")
-	}
-	// One sink for many workers is the documented funnel mode.
-	var n atomic.Int64
-	if err := EmitPDNSParallel(pop, res, 4, func(*pdns.Record) error {
-		n.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() == 0 {
-		t.Error("funnel sink saw no records")
-	}
-	// Sink errors propagate.
-	boom := errors.New("boom")
-	if err := EmitPDNSParallel(pop, res, 2, func(*pdns.Record) error { return boom },
-		func(*pdns.Record) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("sink error: got %v, want %v", err, boom)
-	}
-	if err := EmitPDNSOrdered(pop, res, 2, func(*pdns.Record) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("ordered sink error: got %v, want %v", err, boom)
-	}
+	return nil
 }
 
 // TestEmitPDNSParallelBatchMatchesScalar: for every worker count, each
 // shard's batch stream must materialise to exactly the records the scalar
-// sharded emission delivers to the same worker — same values, same order.
+// EmitPDNS delivers for that shard's functions — same values, same order.
+// Sink errors surface from the emitter.
 func TestEmitPDNSParallelBatchMatchesScalar(t *testing.T) {
 	pop := testPop(t, 0.002)
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			want := make([][]pdns.Record, workers)
-			scalarSinks := make([]func(*pdns.Record) error, workers)
-			for i := range scalarSinks {
-				i := i
-				scalarSinks[i] = func(r *pdns.Record) error {
-					want[i] = append(want[i], *r)
-					return nil
-				}
-			}
-			if err := EmitPDNSParallel(pop, dnssim.NewResolver(), workers, scalarSinks...); err != nil {
+			if err := EmitPDNS(pop, dnssim.NewResolver(), func(r *pdns.Record) error {
+				i := pdns.ShardByFQDN(r.FQDN, workers)
+				want[i] = append(want[i], *r)
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
 
 			got := make([][]pdns.Record, workers)
-			batchSinks := make([]func(*pdns.RecordBatch) error, workers)
-			for i := range batchSinks {
-				i := i
-				batchSinks[i] = func(b *pdns.RecordBatch) error {
+			// A small batch size forces many flush/Reset cycles per shard.
+			if err := emitShards(pop, workers, 64, func(i int) func(*pdns.RecordBatch) error {
+				return func(b *pdns.RecordBatch) error {
 					var rec pdns.Record
 					for j := 0; j < b.Len(); j++ {
 						b.At(j, &rec)
@@ -185,9 +187,7 @@ func TestEmitPDNSParallelBatchMatchesScalar(t *testing.T) {
 					}
 					return nil
 				}
-			}
-			// A small batch size forces many flush/Reset cycles per shard.
-			if err := EmitPDNSParallelBatch(pop, dnssim.NewResolver(), workers, 64, batchSinks...); err != nil {
+			}); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
@@ -200,15 +200,22 @@ func TestEmitPDNSParallelBatchMatchesScalar(t *testing.T) {
 					}
 				}
 			}
+
+			boom := errors.New("boom")
+			if err := emitShards(pop, workers, 64, func(int) func(*pdns.RecordBatch) error {
+				return func(*pdns.RecordBatch) error { return boom }
+			}); !errors.Is(err, boom) {
+				t.Errorf("sink error: got %v, want %v", err, boom)
+			}
 		})
 	}
 }
 
-// TestEmitPDNSParallelBatchSymbolStability pins the DESIGN #26 determinism
-// rule at the seam that depends on it: for a fixed worker count, each
-// shard's intern table assigns the same symbol to the same string run after
-// run, and the raw symbol columns themselves are identical.
-func TestEmitPDNSParallelBatchSymbolStability(t *testing.T) {
+// TestBatchEmitterSymbolStability pins the DESIGN #26 determinism rule at
+// the seam that depends on it: for a fixed worker count, each shard's
+// intern table assigns the same symbol to the same string run after run,
+// and the raw symbol columns themselves are identical.
+func TestBatchEmitterSymbolStability(t *testing.T) {
 	pop := testPop(t, 0.002)
 	type shardDump struct {
 		symbols []pdns.Sym
@@ -217,17 +224,14 @@ func TestEmitPDNSParallelBatchSymbolStability(t *testing.T) {
 	run := func(workers int) []shardDump {
 		dumps := make([]shardDump, workers)
 		tabs := make([]*pdns.Symtab, workers)
-		sinks := make([]func(*pdns.RecordBatch) error, workers)
-		for i := range sinks {
-			i := i
-			sinks[i] = func(b *pdns.RecordBatch) error {
+		if err := emitShards(pop, workers, 64, func(i int) func(*pdns.RecordBatch) error {
+			return func(b *pdns.RecordBatch) error {
 				tabs[i] = b.Syms
 				dumps[i].symbols = append(dumps[i].symbols, b.FQDN...)
 				dumps[i].symbols = append(dumps[i].symbols, b.RData...)
 				return nil
 			}
-		}
-		if err := EmitPDNSParallelBatch(pop, dnssim.NewResolver(), workers, 64, sinks...); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		for i, tab := range tabs {
@@ -247,61 +251,38 @@ func TestEmitPDNSParallelBatchSymbolStability(t *testing.T) {
 	}
 }
 
-func TestEmitPDNSParallelBatchSinkContract(t *testing.T) {
-	pop := testPop(t, 0.001)
-	res := dnssim.NewResolver()
-	sink := func(*pdns.RecordBatch) error { return nil }
-	if err := EmitPDNSParallelBatch(pop, res, 2, 0, sink); err == nil {
-		t.Error("1 sink for 2 workers: want error, got nil")
-	}
-	boom := errors.New("boom")
-	bad := func(*pdns.RecordBatch) error { return boom }
-	if err := EmitPDNSParallelBatch(pop, res, 2, 0, bad, bad); !errors.Is(err, boom) {
-		t.Errorf("sink error: got %v, want %v", err, boom)
-	}
-}
-
 // TestAggregateParallelMutateHook checks the fault-injection seam: a mutate
-// hook corrupting a deterministic fraction of records yields identical
-// dropped/matched counts and identical surviving aggregates for every worker
-// count — corruption is part of the schedule, not of the interleaving.
+// hook corrupting a deterministic fraction of records, applied on the batch
+// path, yields an aggregate identical to the serial scalar oracle
+// (EmitPDNS → hook → Add) for every worker count — corruption is part of the
+// schedule, not of the interleaving or the record representation.
 func TestAggregateParallelMutateHook(t *testing.T) {
 	pop := testPop(t, 0.004)
 	in := fault.New(fault.Profile{Name: "t", Seed: 7, FeedCorrupt: 0.05})
 	mutate := func(r *pdns.Record) { in.CorruptRecord(r) }
 
-	type outcome struct {
-		scanned, matched, dropped int64
-		domains                   int
+	want := serialAggregate(t, pop, mutate)
+	if want.Dropped == 0 {
+		t.Fatal("corrupting mutate hook dropped no records")
 	}
-	var want outcome
-	for i, workers := range []int{1, 2, 8} {
-		got, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil, mutate)
-		if err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 2, 8} {
+		got := aggregateParallel(t, pop, workers, mutate)
+		if got.Scanned != want.Scanned || got.Matched != want.Matched || got.Dropped != want.Dropped || got.TotalDomains() != want.TotalDomains() {
+			t.Errorf("workers=%d scanned/matched/dropped/domains = %d/%d/%d/%d, want %d/%d/%d/%d", workers,
+				got.Scanned, got.Matched, got.Dropped, got.TotalDomains(),
+				want.Scanned, want.Matched, want.Dropped, want.TotalDomains())
 		}
-		o := outcome{got.Scanned, got.Matched, got.Dropped, got.TotalDomains()}
-		if i == 0 {
-			want = o
-			if o.dropped == 0 {
-				t.Fatal("corrupting mutate hook dropped no records")
-			}
-			continue
-		}
-		if o != want {
-			t.Errorf("workers=%d outcome %+v, want %+v", workers, o, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: batch-path aggregate differs from the serial scalar oracle", workers)
 		}
 	}
 
 	// The clean aggregate must not see any of this: the hook is opt-in.
-	clean, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := aggregateParallel(t, pop, 4)
 	if clean.Dropped != 0 {
 		t.Errorf("clean run dropped %d records", clean.Dropped)
 	}
-	if clean.TotalDomains() < want.domains {
-		t.Errorf("clean domains %d < corrupted domains %d", clean.TotalDomains(), want.domains)
+	if clean.TotalDomains() < want.TotalDomains() {
+		t.Errorf("clean domains %d < corrupted domains %d", clean.TotalDomains(), want.TotalDomains())
 	}
 }

@@ -16,16 +16,18 @@ import (
 //
 // Every function draws from its own RNG stream seeded from
 // (pop.Config.Seed, HashFQDN): a function's records depend only on the seed
-// and its name, never on emission order. That is what lets EmitPDNSParallel
-// and EmitPDNSOrdered fan the very same streams out across workers and
-// still aggregate bit-identically to this serial path.
+// and its name, never on emission order. That is what lets the batch
+// emitter behind AggregateParallelCkpt and EmitPDNSOrdered fan the very same
+// streams out across workers and still match this serial path bit for bit.
 //
 // With cfg.CacheModel set, invocation counts pass through the
 // recursive-resolver cache model first, making request_cnt the conservative
 // lower bound the paper describes.
 func EmitPDNS(pop *Population, resolver *dnssim.Resolver, sink func(*pdns.Record) error) error {
 	sc := &emitScratch{}
-	row := sc.scalarRow(sink)
+	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
+		return sink(sc.record(t, rdata, firstUnix, lastUnix, cnt, day))
+	}
 	for _, f := range pop.Functions {
 		sc.fqdn = f.FQDN
 		if err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row); err != nil {
@@ -59,7 +61,7 @@ type rowFunc func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, da
 
 // emitScratch holds the per-emitter reusable state: the rtype-allocation
 // and count-split buffers that used to be allocated per (function, day),
-// and the scalar Record the compatibility sinks materialise rows into. One
+// and the scalar Record that per-record sinks and mutate hooks see. One
 // scratch serves one goroutine for the whole emission pass.
 type emitScratch struct {
 	counts [3]int64
@@ -69,29 +71,18 @@ type emitScratch struct {
 	rec    pdns.Record
 }
 
-// scalarRow adapts a *pdns.Record sink to the row interface. The record is
-// reused across calls but every field is rewritten per row (the caller
-// maintains sc.fqdn), so sinks may mutate it freely — they just must not
-// retain the pointer, the same contract the parallel emitters always had.
-func (sc *emitScratch) scalarRow(sink func(*pdns.Record) error) rowFunc {
-	return func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
-		sc.rec.FQDN = sc.fqdn
-		sc.rec.RType = t
-		sc.rec.RData = rdata
-		sc.rec.FirstSeen = time.Unix(firstUnix, 0).UTC()
-		sc.rec.LastSeen = time.Unix(lastUnix, 0).UTC()
-		sc.rec.RequestCnt = cnt
-		sc.rec.PDate = day
-		return sink(&sc.rec)
-	}
-}
-
-// emitFunction emits the records of one function to a scalar sink. It is
-// the standalone form used by the ordered writer path; the streaming
-// emitters hoist the scratch and row closure out of the function loop.
-func emitFunction(pop *Population, f *Function, resolver *dnssim.Resolver, rng *rand.Rand, sink func(*pdns.Record) error) error {
-	sc := &emitScratch{fqdn: f.FQDN}
-	return emitFunctionInto(pop, f, resolver, rng, sc, sc.scalarRow(sink))
+// record materialises one row into the scratch Record. Every field is
+// rewritten per row (the caller maintains sc.fqdn), so consumers may mutate
+// it freely — they just must not retain the pointer.
+func (sc *emitScratch) record(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) *pdns.Record {
+	sc.rec.FQDN = sc.fqdn
+	sc.rec.RType = t
+	sc.rec.RData = rdata
+	sc.rec.FirstSeen = time.Unix(firstUnix, 0).UTC()
+	sc.rec.LastSeen = time.Unix(lastUnix, 0).UTC()
+	sc.rec.RequestCnt = cnt
+	sc.rec.PDate = day
+	return &sc.rec
 }
 
 // emitFunctionInto emits the records of one function. Each day's invocation
