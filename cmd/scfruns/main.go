@@ -77,6 +77,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
+	"repro/internal/paper"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/runs"
@@ -280,7 +281,7 @@ func cmdList(args []string) error {
 func calVerdict(cal map[string]float64) string {
 	audited, failed := 0, 0
 	for k, v := range cal {
-		t, ok := runs.TargetFor(k)
+		t, ok := paper.TargetFor(k)
 		if !ok {
 			continue
 		}
@@ -348,15 +349,15 @@ func cmdShow(args []string) error {
 		ct := report.NewTable("Calibration vs paper", "Metric", "Paper", "Measured", "Holds")
 		for _, k := range sortedKeys(rec.Summary.Calibration) {
 			v := rec.Summary.Calibration[k]
-			paper, holds := "-", "-"
-			if t, ok := runs.TargetFor(k); ok {
-				paper = fmt.Sprintf("%.4f", t.Paper)
+			want, holds := "-", "-"
+			if t, ok := paper.TargetFor(k); ok {
+				want = fmt.Sprintf("%.4f", t.Paper)
 				holds = "yes"
 				if !t.Contains(v) {
 					holds = "**NO**"
 				}
 			}
-			ct.AddRow(k, paper, fmt.Sprintf("%.4f", v), holds)
+			ct.AddRow(k, want, fmt.Sprintf("%.4f", v), holds)
 		}
 		fmt.Println(ct.String())
 	}

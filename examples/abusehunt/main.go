@@ -12,6 +12,7 @@ import (
 	divecloud "repro"
 
 	"repro/internal/abuse"
+	"repro/internal/paper"
 	"repro/internal/report"
 )
 
@@ -51,8 +52,9 @@ func main() {
 	}
 
 	// Finding 10: threat intelligence barely knows about any of it.
-	fmt.Printf("\nThreat-intel coverage: %d/%d abused functions flagged (%s; paper: 4/594 = 0.67%%)\n",
-		res.TICoverage.Flagged, res.TICoverage.Total, report.Pct(res.TICoverage.Rate()))
+	fmt.Printf("\nThreat-intel coverage: %d/%d abused functions flagged (%s; paper: %d/%d = %s)\n",
+		res.TICoverage.Flagged, res.TICoverage.Total, report.Pct(res.TICoverage.Rate()),
+		paper.TIFlagged, paper.AbuseFunctions, report.Pct(float64(paper.TIFlagged)/paper.AbuseFunctions))
 
 	// Sensitive-data exposure from unauthorised access (§5).
 	fmt.Printf("\nSensitive findings in public responses: %d total\n", res.SecretsCensus.Total())

@@ -11,6 +11,7 @@ import (
 	divecloud "repro"
 
 	"repro/internal/analysis"
+	"repro/internal/paper"
 	"repro/internal/pdns"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -61,12 +62,12 @@ func main() {
 	freq := analysis.Frequency(perFn)
 	life := analysis.Lifespan(perFn, w)
 	fmt.Printf("functions analysed: %d\n", freq.Functions)
-	fmt.Printf("invoked <5 times: %s (paper: 78.14%%)\n", report.Pct(freq.FracUnder5))
-	fmt.Printf("invoked >100 times: %s (paper: 7.87%%)\n", report.Pct(freq.FracOver100))
-	fmt.Printf("single-day lifespan: %s (paper: 81.30%%)\n", report.Pct(life.FracSingleDay))
-	fmt.Printf("lifespan <5 days: %s (paper: 83.94%%)\n", report.Pct(life.FracUnder5Days))
-	fmt.Printf("mean lifespan: %.2f days (paper: 21.44)\n", life.MeanDays)
-	fmt.Printf("activity density p=1: %s (paper: 83.01%%)\n", report.Pct(life.FracDensityOne))
+	fmt.Printf("invoked <5 times: %s (paper: %s)\n", report.Pct(freq.FracUnder5), report.Pct(paper.FracUnder5))
+	fmt.Printf("invoked >100 times: %s (paper: %s)\n", report.Pct(freq.FracOver100), report.Pct(paper.FracOver100))
+	fmt.Printf("single-day lifespan: %s (paper: %s)\n", report.Pct(life.FracSingleDay), report.Pct(paper.SingleDayLifespan))
+	fmt.Printf("lifespan <5 days: %s (paper: %s)\n", report.Pct(life.FracUnder5Days), report.Pct(paper.LifespanUnder5Days))
+	fmt.Printf("mean lifespan: %.2f days (paper: %.2f)\n", life.MeanDays, paper.MeanLifespanDays)
+	fmt.Printf("activity density p=1: %s (paper: %s)\n", report.Pct(life.FracDensityOne), report.Pct(paper.DensityOne))
 
 	// Table 2 rollup.
 	fmt.Println()

@@ -8,7 +8,9 @@
 // emission (progress counters name how many functions of each shard are
 // fully folded in — the resumed run re-emits only the tail by replaying the
 // deterministic per-FQDN RNG streams), the merged Aggregate after the
-// identify stage, and the probe sweep's results. Stages after probe are
+// identify stage, the probe sweep's results, and the degradation counters
+// the run had absorbed by then (so a resumed run reports them too — the
+// stages it skips never replay their increments). Stages after probe are
 // always recomputed on resume: they are cheap, pure functions of the
 // restored state, so re-running them is both simpler and self-verifying.
 //
@@ -26,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"time"
 
 	"repro/internal/binio"
@@ -52,6 +55,7 @@ const (
 	secEmission = "emit"
 	secAgg      = "agg"
 	secProbe    = "probe"
+	secCounters = "counters"
 	secEnd      = "end"
 )
 
@@ -113,6 +117,10 @@ type Snapshot struct {
 	Emission  *Emission
 	Aggregate *pdns.Aggregate
 	Probe     *ProbeState
+	// Counters holds the registry counters the run had accumulated when
+	// the snapshot was taken (Manager.PersistCounters names them); nil in
+	// checkpoints written before the section existed.
+	Counters map[string]int64
 }
 
 // HasStage reports whether the ledger records stage as completed.
@@ -203,6 +211,21 @@ func Encode(s *Snapshot) ([]byte, error) {
 			return nil
 		})
 	}
+	if err == nil && len(s.Counters) > 0 {
+		err = section(secCounters, func(w *binio.Writer) error {
+			names := make([]string, 0, len(s.Counters))
+			for name := range s.Counters {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			w.Uvarint(uint64(len(names)))
+			for _, name := range names {
+				w.String(name)
+				w.Varint(s.Counters[name])
+			}
+			return nil
+		})
+	}
 	if err == nil {
 		err = section(secEnd, func(w *binio.Writer) error { return nil })
 	}
@@ -270,6 +293,8 @@ func Decode(data []byte) (*Snapshot, error) {
 			s.Aggregate, err = pdns.DecodeAggregate(payload)
 		case secProbe:
 			s.Probe, err = decodeProbe(pr)
+		case secCounters:
+			s.Counters, err = decodeCounters(pr)
 		case secEnd:
 			sawEnd = true
 		default:
@@ -359,6 +384,24 @@ func decodeEmission(r *binio.Reader) (*Emission, error) {
 		em.Shards = append(em.Shards, agg)
 	}
 	return em, nil
+}
+
+func decodeCounters(r *binio.Reader) (map[string]int64, error) {
+	n, err := r.Count(2)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int64, n)
+	for i := 0; i < n; i++ {
+		name, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		if out[name], err = r.Varint(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func encodeProbe(w *binio.Writer, p *ProbeState) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 )
 
 // testSnapshot builds a snapshot exercising every section: header, ledger,
-// emission frontier (two shard aggregators), merged aggregate, probe state.
+// emission frontier (two shard aggregators), merged aggregate, probe state,
+// counters.
 func testSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	start := pdns.NewDate(2022, time.April, 1)
@@ -58,6 +60,7 @@ func testSnapshot(t *testing.T) *Snapshot {
 			Stats: probe.Stats{Probed: 2, Reachable: 1, Unreachable: 1,
 				DNSFailures: 1, Requests: 4, Retried: 2},
 		},
+		Counters: map[string]int64{"fault_resets_injected_total": 3, "pdns_records_dropped_total": 41},
 	}
 }
 
@@ -82,6 +85,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Probe, snap.Probe) {
 		t.Errorf("probe state = %+v, want %+v", got.Probe, snap.Probe)
+	}
+	if !reflect.DeepEqual(got.Counters, snap.Counters) {
+		t.Errorf("counters = %v, want %v", got.Counters, snap.Counters)
 	}
 	if got.Emission == nil || got.Emission.Rows != snap.Emission.Rows ||
 		!reflect.DeepEqual(got.Emission.Progress, snap.Emission.Progress) {
@@ -323,5 +329,74 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("two encodings of the same snapshot differ")
+	}
+}
+
+// TestManagerPersistsCounters: snapshots carry the named counters (minus
+// checkpoint_/recovery_ ones and zeros), and Restore adds them back to the
+// resumed run's registry on top of anything already counted there.
+func TestManagerPersistsCounters(t *testing.T) {
+	const runID = "r-cccccccccccc"
+	root := t.TempDir()
+	reg := obs.NewRegistry()
+	m := NewManager(Dir(root, runID), runID, 1, 2, reg, nil)
+	m.PersistCounters("fault_resets_injected_total", "probe_conn_retries_total",
+		"recovery_resumed_total", "checkpoint_write_errors_total")
+	reg.Counter("fault_resets_injected_total").Add(7)
+	reg.Counter("recovery_resumed_total").Inc()
+	reg.Counter("checkpoint_write_errors_total").Inc()
+	m.StageDone("probe", nil, nil)
+
+	snap, _, err := Latest(root, runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"fault_resets_injected_total": 7}
+	if !reflect.DeepEqual(snap.Counters, want) {
+		t.Fatalf("persisted counters = %v, want %v", snap.Counters, want)
+	}
+
+	resumed := obs.NewRegistry()
+	resumed.Counter("fault_resets_injected_total").Add(2)
+	NewManager(Dir(root, runID), runID, 1, 2, resumed, nil).Restore(snap)
+	if got := resumed.Counter("fault_resets_injected_total").Value(); got != 9 {
+		t.Errorf("restored counter = %d, want 9", got)
+	}
+	if got := resumed.Snapshot().Counters["recovery_resumed_total"]; got != 0 {
+		t.Errorf("recovery counter restored as %d, want it left out", got)
+	}
+}
+
+// TestRestoreWithoutCountersSection: a checkpoint written before the
+// counters section existed (none in the file) still decodes and resumes,
+// adding nothing to the registry.
+func TestRestoreWithoutCountersSection(t *testing.T) {
+	snap := testSnapshot(t)
+	snap.Counters = nil
+	data, err := Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(secCounters)) {
+		t.Fatal("a snapshot without counters wrote a counters section")
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Counters != nil {
+		t.Errorf("counters = %v, want nil", got.Counters)
+	}
+	reg := obs.NewRegistry()
+	m := NewManager(t.TempDir(), got.Header.RunID, 42, 3, reg, nil)
+	m.Restore(got)
+	for name := range reg.Snapshot().Counters {
+		if !strings.HasPrefix(name, "checkpoint_") { // the manager's own
+			t.Errorf("restore registered counter %s", name)
+		}
+	}
+	m.StageDone("probe", nil, nil)
+	if li := m.Info(); li.Writes != 1 || li.ResumedFrom != got.Header.Seq {
+		t.Errorf("lineage after resume = %+v", li)
 	}
 }

@@ -44,7 +44,9 @@ type Manager struct {
 	agg          *pdns.Aggregate
 	probe        *ProbeState
 	lastWrite    time.Time
+	persist      []string // counter names every snapshot carries
 
+	reg     *obs.Registry
 	elog    *obs.EventLog
 	mWrites *obs.Counter // checkpoint_write_total
 	mErrors *obs.Counter // checkpoint_write_errors_total
@@ -57,7 +59,7 @@ type Manager struct {
 func NewManager(dir, runID string, seed int64, workers int, reg *obs.Registry, elog *obs.EventLog) *Manager {
 	return &Manager{
 		dir: dir, runID: runID, seed: seed, workers: workers,
-		elog:    elog,
+		reg: reg, elog: elog,
 		mWrites: reg.Counter("checkpoint_write_total"),
 		mErrors: reg.Counter("checkpoint_write_errors_total"),
 		gBytes:  reg.Gauge("checkpoint_last_bytes"),
@@ -66,16 +68,38 @@ func NewManager(dir, runID string, seed int64, workers int, reg *obs.Registry, e
 	}
 }
 
+// PersistCounters names registry counters that every later snapshot
+// carries and Restore re-adds: the resilience counters a run's degradation
+// record is read from, which the stages a resumed run skips never
+// increment again. Counters about checkpointing or recovery describe one
+// execution, not the measurement, so names with a "checkpoint_" or
+// "recovery_" prefix are ignored.
+func (m *Manager) PersistCounters(names ...string) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, name := range names {
+		if !strings.HasPrefix(name, "checkpoint_") && !strings.HasPrefix(name, "recovery_") {
+			m.persist = append(m.persist, name)
+		}
+	}
+}
+
 // Restore seeds the manager from the snapshot the run resumed from: the
 // ledger and restorable state carry over (so later boundary snapshots stay
-// cumulative) and sequence numbering continues where the parent run's left
-// off.
+// cumulative), the snapshot's counters are added back to the registry, and
+// sequence numbering continues where the parent run's left off.
 func (m *Manager) Restore(s *Snapshot) {
 	if m == nil || s == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for name, v := range s.Counters {
+		m.reg.Counter(name).Add(v)
+	}
 	m.seq = s.Header.Seq
 	m.resumedFrom = s.Header.Seq
 	m.resumedStage = s.Header.Stage
@@ -115,8 +139,9 @@ func (m *Manager) StageDone(stage string, agg *pdns.Aggregate, probe *ProbeState
 }
 
 // SaveEmission persists a mid-identify snapshot of the emission frontier.
-// The shard aggregators must be quiescent for the duration of the call (the
-// workload coordinator holds every shard lock while invoking this).
+// The shard aggregators, and the persisted counters the emission path
+// increments, must be quiescent for the duration of the call (the workload
+// coordinator holds every shard lock while invoking this).
 func (m *Manager) SaveEmission(progress []int64, shards []*pdns.Aggregator, rows int64) {
 	if m == nil {
 		return
@@ -138,6 +163,15 @@ func (m *Manager) save(stage string, rows int64, em *Emission) {
 		Emission:  em,
 		Aggregate: m.agg,
 		Probe:     m.probe,
+	}
+	if len(m.persist) > 0 {
+		counters := m.reg.Snapshot().Counters
+		snap.Counters = map[string]int64{}
+		for _, name := range m.persist {
+			if v := counters[name]; v != 0 {
+				snap.Counters[name] = v
+			}
+		}
 	}
 	data, err := Encode(snap)
 	if err == nil {

@@ -8,9 +8,9 @@ import (
 )
 
 // Calibration computes the run's scale-invariant shares under the names
-// runs.PaperTargets audits — the same formulas RenderExperiments prints, so
-// a calibration gate failure and a "**NO**" row in EXPERIMENTS.md always
-// agree. Shares are pure functions of seed/config/workers, which keeps the
+// paper.Targets audits. RenderExperiments and the gate both judge these
+// shares against the same bands, so a calibration gate failure and a
+// "**NO**" row in EXPERIMENTS.md always agree. Shares are pure functions of seed/config/workers, which keeps the
 // archive's deterministic half deterministic.
 func (r *Results) Calibration() map[string]float64 {
 	codes := r.statusShares()

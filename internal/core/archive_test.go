@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/paper"
 	"repro/internal/runs"
 )
 
@@ -18,7 +19,7 @@ func TestBuildArchiveShape(t *testing.T) {
 	if _, ok := arch.Summary.Meta["elapsed"]; ok {
 		t.Fatal("elapsed is an outcome, not configuration — it must not reach the config hash")
 	}
-	for _, tg := range runs.PaperTargets {
+	for _, tg := range paper.Targets {
 		if _, ok := arch.Summary.Calibration[tg.Name]; !ok {
 			t.Errorf("calibration missing %s", tg.Name)
 		}

@@ -103,11 +103,6 @@ type Config struct {
 	// time, so this defaults shorter than ProbeTimeout).
 	C2Concurrency int
 	C2Timeout     time.Duration
-	// C2ScanAll also sweeps hosts whose HTTP probe already failed with a
-	// timeout or DNS error. The paper probed every domain; the default
-	// skips known-unreachable hosts because re-timing-out on 52 probes per
-	// host only burns wall clock.
-	C2ScanAll bool
 	// SkipC2Scan skips the fingerprint sweep entirely.
 	SkipC2Scan bool
 
@@ -410,6 +405,11 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			}
 		}
 		mgr = checkpoint.NewManager(checkpoint.Dir(cfg.CheckpointDir, runID), runID, cfg.Seed, cfg.Workers, reg, elog)
+		// Skipped stages never replay their degradation counters, so the
+		// checkpoints carry them for collectDegradations.
+		for _, dm := range degradationMetrics {
+			mgr.PersistCounters(dm.metric)
+		}
 		if resumed != nil {
 			mgr.Restore(resumed)
 			reg.Counter("recovery_resumed_total").Inc()
@@ -707,14 +707,14 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		}
 	}
 	if !cfg.SkipC2Scan {
-		c2Targets := targets
-		if !cfg.C2ScanAll {
-			c2Targets = c2Targets[:0:0]
-			for i := range res.ProbeResults {
-				r := &res.ProbeResults[i]
-				if r.Reachable || r.Failure == probe.FailConn {
-					c2Targets = append(c2Targets, r.FQDN)
-				}
+		// The paper fingerprinted every domain; hosts whose HTTP probe
+		// already timed out or failed DNS are skipped, because
+		// re-timing-out on 52 probes per host only burns wall clock.
+		var c2Targets []string
+		for i := range res.ProbeResults {
+			r := &res.ProbeResults[i]
+			if r.Reachable || r.Failure == probe.FailConn {
+				c2Targets = append(c2Targets, r.FQDN)
 			}
 		}
 		cctx, csp := obs.StartSpan(sctx, "c2-sweep")

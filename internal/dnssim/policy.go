@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/paper"
 	"repro/internal/pdns"
 	"repro/internal/providers"
 )
@@ -57,9 +58,10 @@ func (o Owner) ThirdParty() bool { return o != OwnerProvider }
 type Policy struct {
 	Provider providers.ID
 
-	// Record-type mix, as fractions of answered requests (Table 2 "Total").
-	// The three shares sum to 1 for providers that answer; CNAME answers
-	// ultimately resolve to A records upstream, but PDNS logs the CNAME row.
+	// Record-type mix, as fractions of answered requests (Table 2 "Total",
+	// filled in from internal/paper). The three shares sum to 1 for
+	// providers that answer; CNAME answers ultimately resolve to A records
+	// upstream, but PDNS logs the CNAME row.
 	AShare, AAAAShare, CNAMEShare float64
 
 	// Pool sizes. For region-based providers these are per-region node
@@ -78,36 +80,32 @@ type Policy struct {
 	ansCache map[answerKey]Answer
 }
 
-// policies is keyed by provider, calibrated to Table 2.
+// policies is keyed by provider, calibrated to Table 2; init fills in the
+// record-type mix.
 var policies = map[providers.ID]*Policy{
 	providers.Aliyun: {
-		Provider: providers.Aliyun,
-		AShare:   0.2796, CNAMEShare: 0.7204, AAAAShare: 0,
+		Provider:    providers.Aliyun,
 		RegionA:     flat(3),
 		RegionCNAME: 2,
 	},
 	providers.Baidu: {
-		Provider: providers.Baidu,
-		AShare:   0.2247, CNAMEShare: 0.7753, AAAAShare: 0,
+		Provider:        providers.Baidu,
 		RegionA:         flat(3), // 3 regions x ~3 operator VIPs ≈ 10 total
 		RegionCNAME:     1,
 		ThirdPartyOwner: []Owner{OwnerChinaTelecom, OwnerChinaUnicom, OwnerChinaMobile},
 	},
 	providers.Tencent: {
-		Provider: providers.Tencent,
-		AShare:   0.2389, CNAMEShare: 0.7611, AAAAShare: 0,
+		Provider:    providers.Tencent,
 		RegionA:     flat(2), // 22 regions x ~1.6 ≈ 35 total
 		RegionCNAME: 2,       // geographic aliases like gz.scf.tencentcs.com
 	},
 	providers.Kingsoft: {
 		Provider:        providers.Kingsoft,
-		AShare:          1,
 		RegionA:         flat(2), // 2 regions x 2 = 4 total
 		ThirdPartyOwner: []Owner{OwnerChinaTelecom, OwnerChinaUnicom, OwnerChinaMobile},
 	},
 	providers.AWS: {
 		Provider: providers.AWS,
-		AShare:   0.7673, AAAAShare: 0.2327,
 		// AWS is the outlier: thousands of ingress nodes in popular regions
 		// (ap-northeast-1: 2082 IPv4 / 2579 IPv6), hundreds elsewhere.
 		RegionA:    awsPoolIPv4,
@@ -115,23 +113,19 @@ var policies = map[providers.ID]*Policy{
 	},
 	providers.Google: {
 		Provider: providers.Google,
-		AShare:   0.7641, AAAAShare: 0.2359,
-		Anycast: true, GlobalA: 1, GlobalAAAA: 1,
+		Anycast:  true, GlobalA: 1, GlobalAAAA: 1,
 	},
 	providers.Google2: {
 		Provider: providers.Google2,
-		AShare:   0.6675, AAAAShare: 0.3325,
-		Anycast: true, GlobalA: 4, GlobalAAAA: 4,
+		Anycast:  true, GlobalA: 4, GlobalAAAA: 4,
 	},
 	providers.IBM: {
 		Provider: providers.IBM,
-		AShare:   0.1015, CNAMEShare: 0.8755, AAAAShare: 0.0230,
-		RegionA: flat(1), RegionAAAA: flat(1), RegionCNAME: 1,
+		RegionA:  flat(1), RegionAAAA: flat(1), RegionCNAME: 1,
 		ThirdPartyOwner: []Owner{OwnerCloudflare},
 	},
 	providers.Oracle: {
 		Provider: providers.Oracle,
-		AShare:   1,
 		RegionA: func(region string) int {
 			// 31 IPv4 nodes over 5 regions, with a skew that keeps the
 			// Top10 share near the observed 57.97%.
@@ -141,6 +135,13 @@ var policies = map[providers.ID]*Policy{
 			return 5
 		},
 	},
+}
+
+func init() {
+	for id, p := range policies {
+		u := paper.Table2[id]
+		p.AShare, p.CNAMEShare, p.AAAAShare = u.A, u.CNAME, u.AAAA
+	}
 }
 
 func flat(n int) func(string) int { return func(string) int { return n } }

@@ -52,15 +52,12 @@ func SpanFrom(ctx context.Context) *Span {
 // reachable through the trace tree when one is attached. Call End exactly
 // once; a span left open reports zero duration in Records.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	sp := &Span{
-		name:     name,
-		start:    time.Now(),
-		cpuStart: processCPUTime(),
-	}
+	sp := &Span{name: name, start: time.Now()}
 	if parent := SpanFrom(ctx); parent != nil {
 		parent.addChild(sp)
 	} else {
 		sp.root = true
+		sp.cpuStart = processCPUTime()
 		if tr := TraceFrom(ctx); tr != nil {
 			tr.addRoot(sp)
 		}
@@ -102,9 +99,11 @@ func (t *Trace) Records() []SpanRecord {
 }
 
 // Span is one timed region of a run: a pipeline stage, a sweep, a substrate
-// build. CPU time is the process-wide CPU delta over the span's lifetime, so
-// concurrent spans each report the shared total; for the serial stage spans
-// of core.Run the attribution is exact.
+// build. Only root spans — the serial pipeline stages — record CPU time, as
+// the process-wide CPU delta over their lifetime; that delta is exact for
+// one stage at a time. Child spans may run alongside their siblings
+// (emission shards), where the same delta would charge each of them the
+// whole stage, so children report no CPU; their stage's span carries it.
 type Span struct {
 	name     string
 	start    time.Time
@@ -171,7 +170,10 @@ func (s *Span) End() {
 		return
 	}
 	wall := time.Since(s.start)
-	cpu := processCPUTime() - s.cpuStart
+	var cpu time.Duration
+	if s.root {
+		cpu = processCPUTime() - s.cpuStart
+	}
 	s.mu.Lock()
 	ended := s.ended
 	if !s.ended {

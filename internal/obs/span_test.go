@@ -108,3 +108,41 @@ func TestStartSpanWithoutTrace(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 }
+
+// TestSpanCPUOnlyOnRoot: concurrent child spans report no CPU — the
+// process-wide delta they would see is their siblings' CPU too — while the
+// root stage span reports the CPU burnt under it.
+func TestSpanCPUOnlyOnRoot(t *testing.T) {
+	if processCPUTime() == 0 {
+		t.Skip("no process CPU clock on this platform")
+	}
+	tr := NewTrace()
+	ctx := ContextWithTrace(context.Background(), tr)
+	rctx, root := StartSpan(ctx, "identify")
+	var wg sync.WaitGroup
+	for _, name := range []string{"emit-shard-0", "emit-shard-1"} {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			_, sp := StartSpan(rctx, name)
+			defer sp.End()
+			for start := processCPUTime(); processCPUTime()-start < 20*time.Millisecond; {
+			}
+		}(name)
+	}
+	wg.Wait()
+	root.End()
+
+	rec := tr.Records()[0]
+	if rec.CPUNS <= 0 {
+		t.Errorf("root span CPU = %d, want > 0", rec.CPUNS)
+	}
+	if len(rec.Children) != 2 {
+		t.Fatalf("children = %+v, want two shards", rec.Children)
+	}
+	for _, c := range rec.Children {
+		if c.CPUNS != 0 {
+			t.Errorf("child %s CPU = %d, want 0", c.Name, c.CPUNS)
+		}
+	}
+}

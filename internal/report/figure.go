@@ -162,24 +162,3 @@ func TopN(m map[string]int64, n int) []Point {
 	}
 	return out
 }
-
-// Comparison is one paper-vs-measured line of EXPERIMENTS.md.
-type Comparison struct {
-	Metric   string
-	Paper    string
-	Measured string
-	Holds    bool
-}
-
-// Comparisons renders a block of comparisons.
-func Comparisons(title string, cs []Comparison) string {
-	t := NewTable(title, "metric", "paper", "measured", "shape holds")
-	for _, c := range cs {
-		mark := "yes"
-		if !c.Holds {
-			mark = "NO"
-		}
-		t.AddRow(c.Metric, c.Paper, c.Measured, mark)
-	}
-	return t.String()
-}

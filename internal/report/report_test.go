@@ -119,16 +119,6 @@ func TestTopN(t *testing.T) {
 	}
 }
 
-func TestComparisons(t *testing.T) {
-	out := Comparisons("check", []Comparison{
-		{"metric-a", "10%", "11%", true},
-		{"metric-b", "5", "50", false},
-	})
-	if !strings.Contains(out, "yes") || !strings.Contains(out, "NO") {
-		t.Errorf("comparison marks missing:\n%s", out)
-	}
-}
-
 func TestHistogramHelper(t *testing.T) {
 	out := Histogram("h", []Point{{"0.0-0.5", 4}, {"0.5-1.0", 2}}, 10)
 	if !strings.Contains(out, "0.0-0.5") {

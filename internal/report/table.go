@@ -1,6 +1,6 @@
 // Package report renders the study's tables and figures as text: aligned
 // ASCII tables for Tables 1–3, line/bar charts for Figures 3–7, and the
-// paper-vs-measured comparisons recorded in EXPERIMENTS.md.
+// number formats the paper-vs-measured record in EXPERIMENTS.md uses.
 package report
 
 import (

@@ -78,7 +78,7 @@ type Summary struct {
 	Degradations []obs.Degradation `json:"degradations,omitempty"`
 	// Calibration maps scale-invariant measured shares (unreachable rate,
 	// 404 share, single-day lifespan, ...) to their values, for comparison
-	// against the paper's published targets (see PaperTargets).
+	// against the paper's published targets (see paper.Targets).
 	Calibration map[string]float64 `json:"calibration,omitempty"`
 	// Artifacts maps artifact file name to the SHA-256 hex digest of its
 	// content as stored under artifacts/.

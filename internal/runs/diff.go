@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/paper"
 	"repro/internal/report"
 )
 
@@ -247,7 +248,7 @@ func Diff(a, b *Record) *Report {
 		va, okA := a.Summary.Calibration[name]
 		vb, okB := b.Summary.Calibration[name]
 		d := CalibrationDelta{Name: name, A: va, B: vb, HasA: okA, HasB: okB}
-		if t, ok := TargetFor(name); ok {
+		if t, ok := paper.TargetFor(name); ok {
 			d.Paper, d.HasTarget = t.Paper, true
 			d.AOK = okA && t.Contains(va)
 			d.BOK = okB && t.Contains(vb)
@@ -559,8 +560,10 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
+// fmtNS renders a stage duration; "-" marks a stage missing from one run
+// (-1) and a child span, which records no CPU (0).
 func fmtNS(ns int64) string {
-	if ns < 0 {
+	if ns <= 0 {
 		return "-"
 	}
 	// "µs" -> "us" keeps the table's byte-width alignment intact.

@@ -3,6 +3,8 @@ package runs
 import (
 	"path/filepath"
 	"testing"
+
+	"repro/internal/paper"
 )
 
 // The committed golden archive under testdata/golden is the `make gate`
@@ -47,7 +49,7 @@ func TestGoldenShape(t *testing.T) {
 	// Every calibration share the golden run measured must sit inside the
 	// paper band its gate enforces — otherwise make gate would fail fresh
 	// checkouts. skip-c2 runs still measure all ten shares.
-	for _, tg := range PaperTargets {
+	for _, tg := range paper.Targets {
 		v, ok := rec.Summary.Calibration[tg.Name]
 		if !ok {
 			t.Fatalf("golden calibration missing %s", tg.Name)

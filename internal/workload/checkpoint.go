@@ -29,8 +29,9 @@ type EmitCheckpoint struct {
 	Interval int64
 	// Snapshot persists the emission frontier: functions completed per
 	// shard, the shard aggregators (quiescent for the duration of the
-	// call), and the global emitted-row count. Errors are the callee's to
-	// absorb — emission never aborts on a failed snapshot.
+	// call: every shard lock is held across it, so it must not wait on
+	// emission), and the global emitted-row count. Errors are the callee's
+	// to absorb — emission never aborts on a failed snapshot.
 	Snapshot func(progress []int64, shards []*pdns.Aggregator, rows int64) error
 	// OnRow observes the global emitted-row count after each append; the
 	// crash injector's row-targeted kill point hangs off it.
@@ -97,12 +98,15 @@ func nextMark(rows, interval int64) int64 {
 
 // snapshotLocked quiesces every shard — acquiring all shard locks, so no
 // function is mid-emission anywhere — flushes pending batch rows into the
-// aggregators, and hands the frontier to the Snapshot hook. It returns the
-// row count snapshotted. Caller holds snapMu.
+// aggregators, and hands the frontier to the Snapshot hook before letting
+// the shards go, so the hook encodes aggregators (and reads counters) that
+// no worker is touching. It returns the row count snapshotted. Caller
+// holds snapMu.
 func (c *emitCoord) snapshotLocked() int64 {
 	progress := make([]int64, len(c.shards))
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
+		defer c.shards[i].mu.Unlock()
 	}
 	for i := range c.shards {
 		if fl := c.shards[i].flush; fl != nil {
@@ -111,9 +115,6 @@ func (c *emitCoord) snapshotLocked() int64 {
 		progress[i] = c.shards[i].progress
 	}
 	rows := c.rows.Load()
-	for i := range c.shards {
-		c.shards[i].mu.Unlock()
-	}
 	c.ck.Snapshot(progress, c.aggs, rows)
 	return rows
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dnssim"
 	"repro/internal/pdns"
@@ -155,5 +157,35 @@ func TestEmitCheckpointCadence(t *testing.T) {
 					workers, run, len(snaps), rows, interval, rows/interval)
 			}
 		}
+	}
+}
+
+// TestEmitSnapshotQuiescent: no shard emits a row while the Snapshot hook
+// runs, so the aggregators the hook encodes, and the counters the emission
+// path bumps, cover exactly the functions its progress names.
+func TestEmitSnapshotQuiescent(t *testing.T) {
+	pop := testPop(t, 0.004)
+	var rows atomic.Int64
+	hooks := 0
+	ck := &EmitCheckpoint{
+		Interval: 5000,
+		OnRow:    func(n int64) { rows.Store(n) },
+		Snapshot: func(progress []int64, shards []*pdns.Aggregator, n int64) error {
+			hooks++ // serialised by the coordinator
+			before := rows.Load()
+			for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); runtime.Gosched() {
+				if after := rows.Load(); after != before {
+					t.Errorf("rows advanced %d -> %d while the snapshot hook ran", before, after)
+					return nil
+				}
+			}
+			return nil
+		},
+	}
+	if _, err := AggregateParallelCkpt(context.Background(), pop, dnssim.NewResolver(), nil, 4, nil, ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	if hooks == 0 {
+		t.Fatal("no periodic snapshot fired")
 	}
 }

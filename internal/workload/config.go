@@ -5,17 +5,11 @@
 // clouds — so that the identical measurement pipeline can run end to end
 // (see DESIGN.md, "Substitutions").
 //
-// Calibration targets, all from the paper:
-//   - per-provider domain and request totals (Table 2);
-//   - the long-tail per-function invocation distribution (Fig. 5: 78.14%
-//     of functions invoked < 5 times, histogram mode at 3–6, 7.87% > 100);
-//   - lifespans (§4.3: 81.30% single-day, mean 21.44 days) and activity
-//     density (83.01% at p = 1);
-//   - monthly trends with provider events (Figs. 3/4) and the ChatGPT-driven
-//     resale burst (Fig. 7);
-//   - probe-outcome and content-type mixes (Fig. 6, §4.4, §3.4);
-//   - the abuse population of Table 3 (8 cases, 594 functions, 614k
-//     requests) and the §5 sensitive-data census.
+// It reads the published values it is calibrated to — Table 2 and 3, the
+// Fig. 5 / §4.3 invocation and lifespan shares, the Fig. 6 / §4.4 / §3.4
+// probe-outcome and content mixes, the §5 census — from internal/paper;
+// monthly trends follow the provider events of Figs. 3/4 and the resale
+// burst of Fig. 7.
 //
 // Everything is derived from one seed; the generator is deterministic.
 package workload
@@ -23,6 +17,8 @@ package workload
 import (
 	"time"
 
+	"repro/internal/abuse"
+	"repro/internal/paper"
 	"repro/internal/pdns"
 	"repro/internal/providers"
 )
@@ -35,52 +31,15 @@ func Window() pdns.Window {
 	}
 }
 
-// providerCal carries the Table 2 calibration for one provider.
-type providerCal struct {
-	Domains  int   // distinct function FQDNs over the window
-	Requests int64 // cumulative PDNS request count
-}
-
-// table2 is the per-provider adoption scale of Table 2.
-var table2 = map[providers.ID]providerCal{
-	providers.Aliyun:   {Domains: 59_404, Requests: 440_860_944},
-	providers.Baidu:    {Domains: 753, Requests: 17_005_075},
-	providers.Tencent:  {Domains: 6_154, Requests: 3_024_609},
-	providers.Kingsoft: {Domains: 123, Requests: 4_044},
-	providers.AWS:      {Domains: 19_683, Requests: 346_651_678},
-	providers.Google:   {Domains: 120_603, Requests: 543_330_521},
-	providers.Google2:  {Domains: 324_343, Requests: 199_308_250},
-	providers.IBM:      {Domains: 6, Requests: 107_421},
-	providers.Oracle:   {Domains: 14, Requests: 2_080_577},
-}
-
-// PaperDomains returns the Table 2 domain count for a provider.
-func PaperDomains(id providers.ID) int { return table2[id].Domains }
-
-// PaperRequests returns the Table 2 request count for a provider.
-func PaperRequests(id providers.ID) int64 { return table2[id].Requests }
-
-// Invocation-distribution calibration (Fig. 5 and §4.3).
-const (
-	fracTiny  = 0.7814 // functions invoked fewer than 5 times
-	fracHeavy = 0.0787 // functions invoked more than 100 times
-	// fracMid is the remainder, invoked 5–100 times.
-
-	fracSingleDay  = 0.8130 // lifespan of exactly one day
-	fracDensityOne = 0.8301 // activity density p = 1 overall
-	meanLifespan   = 21.44  // days, for EXPERIMENTS comparison
-)
-
 // Probe-outcome calibration (§4.4, Fig. 6). 2.03% of probed functions were
 // unreachable (8,351 of 410,460); 19.12% of those (1,597) were DNS
 // resolution failures, all deleted Tencent functions — 25.95% of Tencent's
 // 6,154 domains. The remaining unreachable mass (6,754 of 410,460) spreads
-// across all providers as internal-only functions and timeouts.
+// across all providers as internal-only functions and timeouts. Both
+// fractions are tuned to hit the published shares in internal/paper.
 const (
-	fracUnreachable    = 0.0203  // overall, for reporting comparisons
 	fracTencentDeleted = 0.2595  // Tencent domains that are deleted (DNS failure)
 	fracUnreachOther   = 0.01645 // non-DNS unreachable share, any provider
-	fracHTTPSSupport   = 0.9982  // reachable functions answering HTTPS
 )
 
 // Reachable-function status-code mix (Fig. 6). The residual mass goes to
@@ -93,84 +52,52 @@ var statusMix = []struct {
 	// holding ~half of all 502s while the global 5xx share stays at the
 	// paper's 2.82%.
 	{404, 0.9210},
-	{200, 0.0314},
+	{200, paper.HTTP200},
 	{502, 0.0119},
 	{403, 0.0250},
 	{500, 0.0040},
 	{503, 0.0020},
 	{405, 0.0030},
 	{429, 0.0020},
-	{401, 0.0013},
+	{401, paper.HTTP401},
 }
 
-// Of the 200 responses, 3.99% are empty (96.01% non-empty, §4.4); the
-// non-empty split by content type is §5's JSON 36.98% / HTML 31.54% /
-// Plaintext 30.34% / Others 1.15%.
-const frac200Empty = 0.0399
-
+// The non-empty 200 responses split by content type as §3.4 reports.
 var contentTypeMix = []struct {
 	Kind Profile
 	Frac float64
 }{
-	{ProfileJSON, 0.3698},
-	{ProfileHTML, 0.3154},
-	{ProfileText, 0.3034},
-	{ProfileOther, 0.0115},
+	{ProfileJSON, paper.JSONShare},
+	{ProfileHTML, paper.HTMLShare},
+	{ProfileText, paper.PlaintextShare},
+	{ProfileOther, paper.OtherShare},
 }
 
-// Sensitive-data census (§5): 394 findings over 12,138 content-rich
-// responses, by category. Scaled with the population.
+// Sensitive-data census (§5) by category, scaled with the population.
 var secretsCensus = []struct {
 	Kind  SecretKind
 	Count int
 }{
-	{SecretAPIKey, 156},
-	{SecretNetworkID, 127},
-	{SecretAccessToken, 82},
-	{SecretPassword, 16},
-	{SecretPhone, 8},
-	{SecretNationalID, 5},
+	{SecretAPIKey, paper.APIKeys},
+	{SecretNetworkID, paper.NetworkIDs},
+	{SecretAccessToken, paper.AccessTokens},
+	{SecretPassword, paper.Passwords},
+	{SecretPhone, paper.Phones},
+	{SecretNationalID, paper.NationalIDs},
 }
 
-const paperContentRich = 12_138
-
-// abuseCal carries the Table 3 calibration for one abuse case.
-type abuseCal struct {
-	Functions int
-	Requests  int64
-	// Providers weights the deployment platform of the cohort, matching
-	// the per-case provider skews reported in §5.
-	Providers []providers.ID
+// cohortProviders weights the deployment platform of each Table 3 cohort,
+// matching the per-case provider skews reported in §5. The C2 cohort
+// places its functions itself (cohortC2).
+var cohortProviders = map[abuse.Case][]providers.ID{
+	abuse.CaseGambling:     {providers.Google2},
+	abuse.CasePorn:         {providers.Google2, providers.Aliyun},
+	abuse.CaseCheating:     {providers.Google2, providers.AWS},
+	abuse.CaseRedirect:     {providers.Aliyun, providers.Google2, providers.AWS},
+	abuse.CaseOpenAIResale: {providers.Aliyun},
+	abuse.CaseIllegalProxy: {providers.Tencent, providers.Aliyun, providers.AWS},
+	abuse.CaseGeoProxy:     {providers.Google2, providers.AWS, providers.Aliyun},
 }
-
-var table3 = map[string]abuseCal{
-	"c2": {Functions: 16, Requests: 273_291,
-		Providers: []providers.ID{providers.Tencent, providers.Tencent, providers.Tencent, providers.Google2}},
-	"gambling": {Functions: 194, Requests: 24_979,
-		Providers: []providers.ID{providers.Google2}},
-	"porn": {Functions: 8, Requests: 854,
-		Providers: []providers.ID{providers.Google2, providers.Aliyun}},
-	"cheat": {Functions: 4, Requests: 11_941,
-		Providers: []providers.ID{providers.Google2, providers.AWS}},
-	"redirect": {Functions: 23, Requests: 16_771,
-		Providers: []providers.ID{providers.Aliyun, providers.Google2, providers.AWS}},
-	"resale": {Functions: 243, Requests: 106_315,
-		Providers: []providers.ID{providers.Aliyun}},
-	"illegalproxy": {Functions: 20, Requests: 170_195,
-		Providers: []providers.ID{providers.Tencent, providers.Aliyun, providers.AWS}},
-	"geoproxy": {Functions: 86, Requests: 10_873,
-		Providers: []providers.ID{providers.Google2, providers.AWS, providers.Aliyun}},
-}
-
-// Resale group structure (§5.3): the largest group ran one WeChat handle
-// across 157 functions; a 14-function group sold whole OpenAI accounts; the
-// remaining functions spread across smaller groups (28 distinct contacts in
-// total).
-const (
-	resaleBiggestGroup = 157
-	resaleAccountGroup = 14
-	resaleContacts     = 28
-)
 
 // Config parameterises the generator.
 type Config struct {

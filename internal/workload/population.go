@@ -7,7 +7,9 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/abuse"
 	"repro/internal/c2"
+	"repro/internal/paper"
 	"repro/internal/pdns"
 	"repro/internal/providers"
 )
@@ -113,7 +115,7 @@ func Generate(cfg Config) *Population {
 	sem := make(chan struct{}, normWorkers(cfg.Workers))
 	var wg sync.WaitGroup
 	for i, in := range collected {
-		cal := table2[in.ID]
+		cal := paper.Table2[in.ID]
 		n := scaleCount(cal.Domains, cfg.Scale) - abuseByProvider[in.ID]
 		if n < 0 {
 			n = 0
@@ -204,10 +206,10 @@ func generateBenign(in *providers.Info, n int, targetReq int64, rng *rand.Rand, 
 	for i := range totals {
 		x := rng.Float64()
 		switch {
-		case x < fracTiny:
+		case x < paper.FracUnder5:
 			totals[i] = tinyTotal(rng)
 			sumLight += totals[i]
-		case x < fracTiny+fracHeavy:
+		case x < paper.FracUnder5+paper.FracOver100:
 			totals[i] = logUniform(rng, 100, 100_000)
 			heavyIdx = append(heavyIdx, i)
 			sumHeavy += totals[i]
@@ -257,7 +259,7 @@ func generateBenign(in *providers.Info, n int, targetReq int64, rng *rand.Rand, 
 		}
 		planDays(f, first, benignLifespan(rng, w, first, f.Total), rng, w)
 		f.Profile = benignProfile(in.ID, rng)
-		if f.Profile != ProfileInternal && f.Profile != ProfileDeleted && rng.Float64() < 1-fracHTTPSSupport {
+		if f.Profile != ProfileInternal && f.Profile != ProfileDeleted && rng.Float64() < 1-paper.HTTPS {
 			f.HTTPOnly = true
 		}
 		bucketBody(f, n, rng)
@@ -568,7 +570,7 @@ func benignProfile(id providers.ID, rng *rand.Rand) Profile {
 }
 
 func profile200(rng *rand.Rand) Profile {
-	if rng.Float64() < frac200Empty {
+	if rng.Float64() < paper.Empty200 {
 		return ProfileEmpty200
 	}
 	x := rng.Float64()
@@ -696,12 +698,13 @@ func cohortTotals(rng *rand.Rand, requests int64, n int, scale float64) []int64 
 }
 
 // pickProvider draws from the cohort's provider weights.
-func pickProvider(rng *rand.Rand, cal abuseCal) providers.ID {
-	return cal.Providers[rng.Intn(len(cal.Providers))]
+func pickProvider(rng *rand.Rand, c abuse.Case) providers.ID {
+	ids := cohortProviders[c]
+	return ids[rng.Intn(len(ids))]
 }
 
 func cohortC2(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["c2"]
+	cal := paper.Table3[abuse.CaseC2]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	fns := make([]*Function, 0, n)
@@ -758,12 +761,12 @@ func planDense(f *Function, first pdns.Date, days int) {
 }
 
 func cohortGambling(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["gambling"]
+	cal := paper.Table3[abuse.CaseGambling]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	fns := make([]*Function, 0, n)
 	for i := 0; i < n; i++ {
-		f := newAbuseFn(pool, rng, pickProvider(rng, cal), "", ProfileGambling, totals[i])
+		f := newAbuseFn(pool, rng, pickProvider(rng, abuse.CaseGambling), "", ProfileGambling, totals[i])
 		// Campaign consistency (§5.2): sites cluster into a few operations
 		// sharing structure and google-site-verification elements.
 		f.Campaign = fmt.Sprintf("campaign-%02d", i%3)
@@ -794,7 +797,7 @@ func planSpread(f *Function, rng *rand.Rand, first pdns.Date, lifespan int) {
 }
 
 func cohortPorn(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["porn"]
+	cal := paper.Table3[abuse.CasePorn]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	fns := make([]*Function, 0, n)
@@ -802,7 +805,7 @@ func cohortPorn(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Fun
 	lo := pdns.NewDate(2022, 7, 1)
 	hi := pdns.NewDate(2023, 10, 31)
 	for i := 0; i < n; i++ {
-		f := newAbuseFn(pool, rng, pickProvider(rng, cal), "", ProfilePorn, totals[i])
+		f := newAbuseFn(pool, rng, pickProvider(rng, abuse.CasePorn), "", ProfilePorn, totals[i])
 		first := lo.AddDays(rng.Intn(hi.Sub(lo) - 30))
 		planSpread(f, rng, first, 30+rng.Intn(90))
 		fns = append(fns, f)
@@ -811,12 +814,12 @@ func cohortPorn(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Fun
 }
 
 func cohortCheat(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["cheat"]
+	cal := paper.Table3[abuse.CaseCheating]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	fns := make([]*Function, 0, n)
 	for i := 0; i < n; i++ {
-		f := newAbuseFn(pool, rng, pickProvider(rng, cal), "", ProfileCheat, totals[i])
+		f := newAbuseFn(pool, rng, pickProvider(rng, abuse.CaseCheating), "", ProfileCheat, totals[i])
 		l := 60 + rng.Intn(300)
 		first := clampLaunch(f.Provider, w.Start.AddDays(rng.Intn(maxInt(1, w.Days()-l))), w)
 		planSpread(f, rng, first, l)
@@ -826,7 +829,7 @@ func cohortCheat(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Fu
 }
 
 func cohortRedirect(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["redirect"]
+	cal := paper.Table3[abuse.CaseRedirect]
 	nStatic := scaleCount(19, cfg.Scale)
 	nDyn := scaleCount(4, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, nStatic+nDyn, cfg.Scale)
@@ -836,7 +839,7 @@ func cohortRedirect(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []
 		if i >= nStatic {
 			profile = ProfileRedirectDynamic
 		}
-		f := newAbuseFn(pool, rng, pickProvider(rng, cal), "", profile, totals[i])
+		f := newAbuseFn(pool, rng, pickProvider(rng, abuse.CaseRedirect), "", profile, totals[i])
 		if profile == ProfileRedirectStatic {
 			// Stable traffic direction: mean active duration 152 days (§5.3).
 			l := 60 + rng.Intn(200)
@@ -854,21 +857,21 @@ func cohortRedirect(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []
 }
 
 func cohortResale(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["resale"]
+	cal := paper.Table3[abuse.CaseOpenAIResale]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	// Contact handles: one dominant WeChat (157/243 of the cohort), one
 	// account-selling group (14/243), the rest spread over the remaining
 	// distinct contacts (28 total in the paper).
-	nBig := maxInt(1, n*resaleBiggestGroup/243)
-	nAccount := maxInt(1, n*resaleAccountGroup/243)
+	nBig := maxInt(1, n*paper.ResaleBiggestGroup/cal.Functions)
+	nAccount := maxInt(1, n*paper.ResaleAccountGroup/cal.Functions)
 	if nBig+nAccount > n {
 		nAccount = maxInt(0, n-nBig)
 	}
-	nOther := scaleCount(resaleContacts-2, cfg.Scale)
+	nOther := scaleCount(paper.ResaleContacts-2, cfg.Scale)
 	fns := make([]*Function, 0, n)
 	for i := 0; i < n; i++ {
-		f := newAbuseFn(pool, rng, pickProvider(rng, cal), "", ProfileResale, totals[i])
+		f := newAbuseFn(pool, rng, pickProvider(rng, abuse.CaseOpenAIResale), "", ProfileResale, totals[i])
 		switch {
 		case i < nBig:
 			f.Contact = "wechat:gptkey_major"
@@ -894,12 +897,12 @@ func cohortResale(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*F
 }
 
 func cohortIllegalProxy(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["illegalproxy"]
+	cal := paper.Table3[abuse.CaseIllegalProxy]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	fns := make([]*Function, 0, n)
 	for i := 0; i < n; i++ {
-		f := newAbuseFn(pool, rng, pickProvider(rng, cal), "", ProfileIllegalProxy, totals[i])
+		f := newAbuseFn(pool, rng, pickProvider(rng, abuse.CaseIllegalProxy), "", ProfileIllegalProxy, totals[i])
 		l := 100 + rng.Intn(400)
 		first := clampLaunch(f.Provider, w.Start.AddDays(rng.Intn(maxInt(1, w.Days()-l))), w)
 		planSpread(f, rng, first, l)
@@ -909,7 +912,7 @@ func cohortIllegalProxy(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool
 }
 
 func cohortGeoProxy(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []*Function {
-	cal := table3["geoproxy"]
+	cal := paper.Table3[abuse.CaseGeoProxy]
 	n := scaleCount(cal.Functions, cfg.Scale)
 	totals := cohortTotals(rng, cal.Requests, n, cfg.Scale)
 	fns := make([]*Function, 0, n)
@@ -917,7 +920,7 @@ func cohortGeoProxy(cfg Config, rng *rand.Rand, w pdns.Window, pool fqdnPool) []
 	// 1 GitHub proxy, 4 VPN proxies, remainder generic relays.
 	kinds := geoKinds(n)
 	for i := 0; i < n; i++ {
-		id := pickProvider(rng, cal)
+		id := pickProvider(rng, abuse.CaseGeoProxy)
 		region := nonChinaRegion(rng, id)
 		f := newAbuseFn(pool, rng, id, region, ProfileGeoProxy, totals[i])
 		f.GeoKind = kinds[i]

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/abuse"
 	"repro/internal/dnssim"
+	"repro/internal/paper"
 	"repro/internal/pdns"
 	"repro/internal/providers"
 )
@@ -88,11 +89,11 @@ func TestInvocationDistribution(t *testing.T) {
 	}
 	tinyFrac := float64(tiny) / float64(total)
 	heavyFrac := float64(heavy) / float64(total)
-	if math.Abs(tinyFrac-fracTiny) > 0.02 {
-		t.Errorf("fraction invoked <5 times = %.4f, want ≈ %.4f (Fig. 5)", tinyFrac, fracTiny)
+	if math.Abs(tinyFrac-paper.FracUnder5) > 0.02 {
+		t.Errorf("fraction invoked <5 times = %.4f, want ≈ %.4f (Fig. 5)", tinyFrac, paper.FracUnder5)
 	}
-	if math.Abs(heavyFrac-fracHeavy) > 0.02 {
-		t.Errorf("fraction invoked >100 times = %.4f, want ≈ %.4f", heavyFrac, fracHeavy)
+	if math.Abs(heavyFrac-paper.FracOver100) > 0.02 {
+		t.Errorf("fraction invoked >100 times = %.4f, want ≈ %.4f", heavyFrac, paper.FracOver100)
 	}
 }
 
@@ -100,7 +101,7 @@ func TestRequestTotalsTrackTable2(t *testing.T) {
 	pop := testPop(t, 0.02)
 	totals := pop.ProviderTotals()
 	for _, id := range []providers.ID{providers.Aliyun, providers.Google, providers.AWS, providers.Google2} {
-		want := float64(PaperRequests(id)) * 0.02
+		want := float64(paper.Table2[id].Requests) * 0.02
 		got := float64(totals[id])
 		if got < want*0.7 || got > want*1.3 {
 			t.Errorf("%v: generated %d requests, want ≈%d (±30%%)", id, totals[id], int64(want))
@@ -132,12 +133,12 @@ func TestLifespanDistribution(t *testing.T) {
 		lifespanSum += float64(f.Lifespan())
 	}
 	singleFrac := float64(single) / float64(total)
-	if math.Abs(singleFrac-fracSingleDay) > 0.02 {
-		t.Errorf("single-day fraction = %.4f, want ≈ %.4f (§4.3)", singleFrac, fracSingleDay)
+	if math.Abs(singleFrac-paper.SingleDayLifespan) > 0.02 {
+		t.Errorf("single-day fraction = %.4f, want ≈ %.4f (§4.3)", singleFrac, paper.SingleDayLifespan)
 	}
 	denseFrac := float64(dense) / float64(total)
-	if math.Abs(denseFrac-fracDensityOne) > 0.03 {
-		t.Errorf("density-one fraction = %.4f, want ≈ %.4f", denseFrac, fracDensityOne)
+	if math.Abs(denseFrac-paper.DensityOne) > 0.03 {
+		t.Errorf("density-one fraction = %.4f, want ≈ %.4f", denseFrac, paper.DensityOne)
 	}
 	mean := lifespanSum / float64(total)
 	if mean < 10 || mean > 40 {
