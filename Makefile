@@ -1,6 +1,7 @@
 # Developer entry points; CI and the verify flow run `make check`.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test race vet bench bench-json bench-matrix report prof timeline chaos gate health crash crash-full check
 
@@ -18,7 +19,10 @@ race:
 
 # perfbench/ is its own module, so the root `./...` neither builds nor vets
 # it; vetting it here catches an API change that would break the benchmark.
+# Any file gofmt would rewrite (both modules) fails the target.
 vet:
+	@unformatted="$$($(GOFMT) -l .)"; \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 

@@ -8,7 +8,6 @@
 package divecloud_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -164,12 +163,11 @@ func BenchmarkTable2Resolution(b *testing.B) {
 var (
 	batchOnce  sync.Once
 	fixBatches []*pdns.RecordBatch
-	fixTSV     []byte
 )
 
 // batchFixtures materialises the record fixture as columnar batches sharing
-// one intern table (the shape a streaming producer hands AddBatch) plus its
-// TSV encoding, for the batch-path benchmarks.
+// one intern table (the shape a streaming producer hands AddBatch), for the
+// batch-path benchmarks.
 func batchFixtures(b *testing.B) {
 	b.Helper()
 	fixtures(b)
@@ -185,15 +183,6 @@ func batchFixtures(b *testing.B) {
 		if batch.Len() > 0 {
 			fixBatches = append(fixBatches, batch)
 		}
-		var buf bytes.Buffer
-		w := pdns.NewWriter(&buf, pdns.TSV)
-		for _, bt := range fixBatches {
-			if err := w.WriteBatch(bt); err != nil {
-				panic(err)
-			}
-		}
-		w.Flush()
-		fixTSV = buf.Bytes()
 	})
 }
 
@@ -220,27 +209,10 @@ func BenchmarkTable2ResolutionBatch(b *testing.B) {
 	b.ReportMetric(float64(len(fixRecords)), "records/op")
 }
 
-// BenchmarkBatchCodec measures the streaming batch codec against the record
-// fixture: read decodes the whole TSV corpus through ReadBatch, write
-// re-encodes the batches through WriteBatch.
+// BenchmarkBatchCodec measures the batch writer pdnsgen streams through:
+// write re-encodes the record fixture's batches as TSV via WriteBatch.
 func BenchmarkBatchCodec(b *testing.B) {
 	batchFixtures(b)
-	b.Run("read", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := pdns.NewReader(bytes.NewReader(fixTSV), pdns.TSV)
-			batch := pdns.NewRecordBatch(pdns.DefaultBatchRows)
-			var rows int64
-			n, err := pdns.CopyAllBatch(r, batch, func(bt *pdns.RecordBatch) error {
-				rows += int64(bt.Len())
-				return nil
-			})
-			if err != nil || n != int64(len(fixRecords)) || rows != n {
-				b.Fatalf("read %d rows (cb %d): %v", n, rows, err)
-			}
-		}
-		b.ReportMetric(float64(len(fixRecords)), "records/op")
-	})
 	b.Run("write", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -775,17 +747,5 @@ func dialBoth(e *edgeServers) func(ctx context.Context, network, addr string) (n
 			return d.DialContext(ctx, network, e.tlsAddr)
 		}
 		return d.DialContext(ctx, network, e.plainAddr)
-	}
-}
-
-// Ablation: LSH-bucketed clustering vs the exact O(n²) agglomerative path.
-func BenchmarkClusteringLSH(b *testing.B) {
-	docs := clusterCorpus(300)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(content.ClusterDocsLSH(docs, 0.1)) == 0 {
-			b.Fatal("no clusters")
-		}
 	}
 }

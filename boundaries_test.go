@@ -13,9 +13,11 @@ import (
 )
 
 // TestImportBoundaries pins the one-way package boundaries: the paper table
-// is a leaf above providers, and the observability packages (metrics,
-// timeline, health, profiles) never reach into the pipeline they observe —
-// core alone wires them to it.
+// is a leaf above providers, the observability packages (metrics, timeline,
+// health, profiles) never reach into the pipeline they observe — core alone
+// wires them to it — and the measurement packages stay decoupled: content
+// is a leaf, pdns sits on providers and the binary codec, and probe takes
+// its breaker as a local interface rather than importing the fault layer.
 func TestImportBoundaries(t *testing.T) {
 	allowed := map[string][]string{
 		"internal/paper":        {"internal/providers"},
@@ -24,6 +26,9 @@ func TestImportBoundaries(t *testing.T) {
 		"internal/obs":          {"internal/prof"},
 		"internal/obs/timeline": {"internal/obs", "internal/prof"},
 		"internal/health":       {"internal/obs", "internal/prof"},
+		"internal/probe":        {"internal/obs", "internal/pdns"},
+		"internal/content":      nil,
+		"internal/pdns":         {"internal/binio", "internal/obs", "internal/providers"},
 	}
 	for dir, ok := range allowed {
 		for _, imp := range repoImports(t, dir) {

@@ -335,7 +335,7 @@ func cmdShow(args []string) error {
 	}
 	fmt.Printf("run %s (%s) — %s, elapsed %v\n", rec.Summary.ID, rec.Summary.Tool,
 		rec.Timings.CreatedAt, time.Duration(rec.Timings.ElapsedNS).Round(time.Millisecond))
-	fmt.Printf("config %s\n\n", rec.Summary.ConfigHash[:12])
+	fmt.Printf("config %s\n\n", runs.ShortHash(rec.Summary.ConfigHash))
 
 	mt := report.NewTable("Config", "Key", "Value")
 	for _, k := range sortedKeys(rec.Summary.Meta) {
@@ -377,7 +377,7 @@ func cmdShow(args []string) error {
 			if runs.DeterministicArtifacts[k] {
 				gated = "yes"
 			}
-			at.AddRow(k, rec.Summary.Artifacts[k][:12], gated)
+			at.AddRow(k, runs.ShortHash(rec.Summary.Artifacts[k]), gated)
 		}
 		fmt.Println(at.String())
 	}

@@ -40,6 +40,7 @@ func TestRunDispatchExitCodes(t *testing.T) {
 		{"gate matrix-new without matrix-base", []string{"gate", "-matrix-new", "x"}, 2},
 		{"show no args", []string{"show"}, 2},
 		{"show unknown run", []string{"show", "-dir", t.TempDir(), "r-nope"}, 1},
+		{"show short hashes", []string{"show", shortHashArchive(t)}, 0},
 		{"diff wrong arity", []string{"diff", "only-one"}, 2},
 		{"matrix bad cell spec", []string{"matrix", "-cells", "shards=4"}, 1},
 		{"matrix positional args", []string{"matrix", "stray"}, 2},
@@ -253,6 +254,27 @@ func TestRunTimelineExitCodes(t *testing.T) {
 			t.Errorf("%s: run(%v) = %d, want %d", tc.name, tc.args, got, tc.want)
 		}
 	}
+}
+
+// shortHashArchive hand-writes an archive whose config hash and artifact
+// digests are shorter than the 12-character display prefix. Archives are
+// outside input, so show must print them rather than panic.
+func shortHashArchive(t *testing.T) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "r-short")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		runs.SummaryFile: `{"id": "r-short", "tool": "test", "config_hash": "abc", "artifacts": {"table2.csv": "d1", "empty.csv": ""}}`,
+		runs.TimingsFile: `{"created_at": "2026-01-01T00:00:00Z", "elapsed_ns": 1000000, "stages": [], "metrics": {}}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // captureStdout runs f with os.Stdout redirected to a pipe and returns what

@@ -403,4 +403,3 @@ func Fired(rs []Result) bool {
 	}
 	return false
 }
-

@@ -43,16 +43,13 @@ type Event struct {
 // EventLog is an append-only, concurrency-safe structured log of one run:
 // stage boundaries, span lifecycles, metric snapshots, degradations, notes.
 // Every emission serialises through one mutex into a single ordered stream,
-// so concurrent workers can share a log freely; an optional sink receives
-// each event as one JSONL line at emission time. A nil *EventLog is a valid
+// so concurrent workers can share a log freely. A nil *EventLog is a valid
 // no-op sink, mirroring the rest of the package.
 type EventLog struct {
 	mu     sync.Mutex
 	start  time.Time
 	seq    int64
 	events []Event
-	sink   io.Writer
-	enc    *json.Encoder
 }
 
 // NewEventLog returns an empty log; its monotonic clock starts now.
@@ -64,19 +61,6 @@ func (l *EventLog) StartTime() time.Time {
 		return time.Time{}
 	}
 	return l.start
-}
-
-// SetSink streams every subsequent event to w as one JSON line, in addition
-// to retaining it in memory. Writes happen under the log's mutex, so lines
-// never interleave.
-func (l *EventLog) SetSink(w io.Writer) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.sink = w
-	l.enc = json.NewEncoder(w)
-	l.mu.Unlock()
 }
 
 // Emit appends a generic event of the given type.
@@ -111,9 +95,6 @@ func (l *EventLog) emit(e Event) {
 	e.Seq = l.seq
 	e.TUS = time.Since(l.start).Microseconds()
 	l.events = append(l.events, e)
-	if l.enc != nil {
-		l.enc.Encode(e)
-	}
 }
 
 // Len returns the number of events emitted so far.

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -65,16 +64,6 @@ func TestEventLogJSONL(t *testing.T) {
 	}
 }
 
-func TestEventLogSinkStreams(t *testing.T) {
-	l := NewEventLog()
-	var buf bytes.Buffer
-	l.SetSink(&buf)
-	l.Emit(EventNote, "streamed")
-	if !strings.Contains(buf.String(), `"streamed"`) {
-		t.Fatalf("sink did not receive the event: %q", buf.String())
-	}
-}
-
 func TestEventLogSpanIntegration(t *testing.T) {
 	l := NewEventLog()
 	ctx := ContextWithEventLog(context.Background(), l)
@@ -115,8 +104,6 @@ func TestEventLogConcurrent(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			l := NewEventLog()
-			var sink bytes.Buffer
-			l.SetSink(&sink)
 			reg := NewRegistry()
 			ctx := ContextWithEventLog(context.Background(), l)
 			const perWorker = 50
@@ -150,18 +137,22 @@ func TestEventLogConcurrent(t *testing.T) {
 					t.Fatalf("timestamps not monotone at %d", i)
 				}
 			}
-			sc := bufio.NewScanner(&sink)
+			var out bytes.Buffer
+			if err := l.WriteJSONL(&out); err != nil {
+				t.Fatal(err)
+			}
+			sc := bufio.NewScanner(&out)
 			sc.Buffer(make([]byte, 1<<20), 1<<20)
 			var lines int
 			for sc.Scan() {
 				var e Event
 				if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-					t.Fatalf("sink line %d corrupt (interleaved write?): %v", lines+1, err)
+					t.Fatalf("JSONL line %d corrupt: %v", lines+1, err)
 				}
 				lines++
 			}
 			if lines != want {
-				t.Fatalf("sink lines = %d, want %d", lines, want)
+				t.Fatalf("JSONL lines = %d, want %d", lines, want)
 			}
 		})
 	}
@@ -172,7 +163,6 @@ func TestEventLogNilSafety(t *testing.T) {
 	l.Emit(EventNote, "x")
 	l.EmitMetrics("x", nil)
 	l.EmitDegradation(Degradation{})
-	l.SetSink(&bytes.Buffer{})
 	if l.Len() != 0 || l.Events() != nil {
 		t.Fatal("nil log must be empty")
 	}

@@ -25,7 +25,7 @@ func Wall() Clock { return wallClock{} }
 
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                  { return time.Now() }
+func (wallClock) Now() time.Time                   { return time.Now() }
 func (wallClock) NewTicker(d time.Duration) Ticker { return wallTicker{time.NewTicker(d)} }
 
 type wallTicker struct{ t *time.Ticker }

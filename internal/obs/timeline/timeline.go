@@ -75,11 +75,6 @@ type Options struct {
 	Interval time.Duration
 	// Clock defaults to Wall().
 	Clock Clock
-	// Watch is the anomaly watchlist; nil selects DefaultWatch().
-	Watch []string
-	// Sink, when set, receives every captured window synchronously — the
-	// hook for live appending once the streaming pipeline lands.
-	Sink func(Window)
 }
 
 // Recorder captures windows from a registry on a clock. A nil *Recorder is
@@ -89,7 +84,6 @@ type Recorder struct {
 	reg      *obs.Registry
 	clock    Clock
 	interval time.Duration
-	sink     func(Window)
 
 	mu       sync.Mutex
 	start    time.Time
@@ -120,16 +114,11 @@ func NewRecorder(reg *obs.Registry, opts Options) *Recorder {
 	if opts.Clock == nil {
 		opts.Clock = Wall()
 	}
-	watch := opts.Watch
-	if watch == nil {
-		watch = DefaultWatch()
-	}
 	return &Recorder{
 		reg:      reg,
 		clock:    opts.Clock,
 		interval: opts.Interval,
-		sink:     opts.Sink,
-		det:      newDetector(watch),
+		det:      newDetector(DefaultWatch()),
 		subs:     make(map[int]chan Window),
 	}
 }
@@ -160,8 +149,11 @@ func (r *Recorder) Start() {
 			select {
 			case <-r.stop:
 				return
-			case <-t.Chan():
-				r.CaptureNow()
+			case at := <-t.Chan():
+				// Close the window at the tick's instant, not at a later
+				// Now(): the clock may have moved on before this receive
+				// is scheduled.
+				r.capture(at)
 			}
 		}
 	}()
@@ -300,18 +292,22 @@ func (r *Recorder) Subscribe(buf int) (<-chan Window, func()) {
 }
 
 // CaptureNow closes the current window immediately: snapshot, delta against
-// the previous snapshot, annotate, append. The ticker calls it every
-// interval; tests call it directly for schedule-exact sequences.
+// the previous snapshot, annotate, append. Stop calls it for the tail
+// window; tests call it directly for schedule-exact sequences.
 func (r *Recorder) CaptureNow() {
 	if r == nil {
 		return
 	}
-	now := r.clock.Now()
+	r.capture(r.clock.Now())
+}
+
+// capture closes the current window at now.
+func (r *Recorder) capture(now time.Time) {
 	snap := r.reg.Snapshot()
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if !r.started || r.stopped {
-		r.mu.Unlock()
 		return
 	}
 	delta := obs.DeltaSnapshot(r.prev, snap)
@@ -377,12 +373,6 @@ func (r *Recorder) CaptureNow() {
 		case ch <- w:
 		default: // slow consumer: drop rather than stall capture
 		}
-	}
-	sink := r.sink
-	r.mu.Unlock()
-
-	if sink != nil {
-		sink(w)
 	}
 }
 

@@ -2,7 +2,6 @@ package pdns
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -19,11 +18,6 @@ func TestInternInsertionOrder(t *testing.T) {
 	}
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	for i, w := range words {
-		if got := s.InternBytes([]byte(w)); got != want[i] {
-			t.Fatalf("InternBytes(%q) = %d, want %d", w, got, want[i])
-		}
 	}
 	if got := s.Lookup(2); got != "gamma" {
 		t.Fatalf("Lookup(2) = %q", got)
@@ -83,125 +77,6 @@ func TestWriteBatchBytesIdentical(t *testing.T) {
 			t.Errorf("format %d: batch bytes differ from scalar bytes:\n%q\nvs\n%q",
 				format, batched.String(), scalar.String())
 		}
-	}
-}
-
-func TestReadBatchMatchesRead(t *testing.T) {
-	recs := batchRecords()
-	for _, format := range []Format{TSV, JSONL} {
-		var buf bytes.Buffer
-		w := NewWriter(&buf, format)
-		if err := w.WriteBatch(batchOf(recs)); err != nil {
-			t.Fatal(err)
-		}
-		w.Flush()
-		encoded := buf.Bytes()
-
-		var scalar []Record
-		r := NewReader(bytes.NewReader(encoded), format)
-		var rec Record
-		for {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalar = append(scalar, rec)
-		}
-
-		var batched []Record
-		br := NewReader(bytes.NewReader(encoded), format)
-		b := NewRecordBatch(2) // tiny batch forces several ReadBatch rounds
-		for {
-			b.Reset()
-			n, err := br.ReadBatch(b, 2)
-			for i := 0; i < n; i++ {
-				var out Record
-				b.At(i, &out)
-				batched = append(batched, out)
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(scalar, batched) {
-			t.Errorf("format %d: batch read diverged:\n%+v\nvs\n%+v", format, batched, scalar)
-		}
-	}
-}
-
-// TestReadBatchQuarantine feeds the same dirty stream to the scalar and the
-// batch reader and requires identical delivered records and skip counts.
-func TestReadBatchQuarantine(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, TSV)
-	recs := batchRecords()
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		buf.WriteString("garbage line without tabs\n")
-		buf.WriteString("f\tnotanint\trdata\t0\t0\t1\t100\n")
-	}
-	w.Flush()
-	dirty := buf.Bytes()
-
-	sr := NewReader(bytes.NewReader(dirty), TSV).Quarantine(0.9)
-	var scalar []Record
-	var rec Record
-	for {
-		err := sr.Read(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar = append(scalar, rec)
-	}
-
-	br := NewReader(bytes.NewReader(dirty), TSV).Quarantine(0.9)
-	b := NewRecordBatch(DefaultBatchRows)
-	var batched []Record
-	for {
-		b.Reset()
-		n, err := br.ReadBatch(b, 3)
-		for i := 0; i < n; i++ {
-			var out Record
-			b.At(i, &out)
-			batched = append(batched, out)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(scalar, batched) {
-		t.Errorf("quarantined batch read diverged:\n%+v\nvs\n%+v", batched, scalar)
-	}
-	if sr.Skipped() != br.Skipped() {
-		t.Errorf("Skipped: scalar %d, batch %d", sr.Skipped(), br.Skipped())
-	}
-	if sr.Skipped() != int64(2*len(recs)) {
-		t.Errorf("Skipped = %d, want %d", sr.Skipped(), 2*len(recs))
-	}
-	// Malformed lines must not leak strings into the intern table: only the
-	// delivered rows' fqdn/rdata values may be present.
-	distinct := map[string]struct{}{}
-	for _, r := range scalar {
-		distinct[r.FQDN] = struct{}{}
-		distinct[r.RData] = struct{}{}
-	}
-	if b.Syms.Len() != len(distinct) {
-		t.Errorf("symtab has %d entries, want %d (quarantined lines polluted it)",
-			b.Syms.Len(), len(distinct))
 	}
 }
 

@@ -82,7 +82,6 @@ type Reader struct {
 	scanned    int64
 	skipped    int64
 	streamErr  error
-	scratch    Record          // JSONL decode target for ReadBatch
 	mSkipped   *obs.Counter    // pdns_reader_quarantined_total
 	mQuarVec   *obs.CounterVec // pdns_quarantined_total{shard,reason}
 	shard      string

@@ -1,10 +1,7 @@
 package pdns
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -62,169 +59,4 @@ func (w *Writer) writeTSV(fqdn string, t RType, rdata string, firstUnix, lastUni
 	w.buf = buf
 	_, err := w.bw.Write(buf)
 	return err
-}
-
-// ReadBatch appends up to max rows to b, interning strings into b.Syms. It
-// returns the number of rows appended; end of stream is (0, io.EOF) — a
-// short final batch is returned with a nil error first. Quarantine and
-// Instrument semantics are exactly those of Read: in quarantine mode
-// malformed lines are skipped and counted, a blown error budget aborts
-// mid-batch (returning the rows parsed so far alongside the error), and a
-// tolerated stream error ends the stream early with StreamErr set.
-//
-// TSV rows are parsed straight from the scanner's byte view — fqdn and
-// rdata hit the intern table without allocating once seen before, and the
-// numeric columns never become strings at all.
-func (r *Reader) ReadBatch(b *RecordBatch, max int) (int, error) {
-	if max <= 0 {
-		max = DefaultBatchRows
-	}
-	n := 0
-	for n < max {
-		if !r.sc.Scan() {
-			if err := r.sc.Err(); err != nil {
-				if r.quarantine {
-					r.streamErr = err
-					break
-				}
-				return n, err
-			}
-			break
-		}
-		r.line++
-		line := r.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		r.scanned++
-		var err error
-		switch r.format {
-		case JSONL:
-			err = json.Unmarshal(line, &r.scratch)
-			if err == nil {
-				b.AppendRecord(&r.scratch)
-			}
-		case TSV:
-			err = parseTSVBatch(line, b)
-		default:
-			return n, fmt.Errorf("pdns: unknown format %d", r.format)
-		}
-		if err == nil {
-			n++
-			continue
-		}
-		if !r.quarantine {
-			return n, fmt.Errorf("pdns: line %d: %w", r.line, err)
-		}
-		r.skipped++
-		r.mSkipped.Inc()
-		if r.mQuarVec != nil {
-			r.mQuarVec.With(r.shard, quarantineReason(r.format, err)).Inc()
-		}
-		if r.scanned > quarantineGrace &&
-			float64(r.skipped) > r.maxErrRate*float64(r.scanned) {
-			return n, fmt.Errorf("pdns: line %d: %d/%d lines malformed (budget %.1f%%): %w",
-				r.line, r.skipped, r.scanned, r.maxErrRate*100, ErrErrorBudget)
-		}
-	}
-	if n == 0 {
-		return 0, io.EOF
-	}
-	return n, nil
-}
-
-// parseTSVBatch parses one TSV line directly into batch columns. The column
-// layout, accepted values, and field-name error wrapping are identical to
-// parseTSV — quarantineReason classifies failures from either parser the
-// same way — but nothing is interned until the whole row has parsed, so
-// malformed lines never pollute the symbol table.
-func parseTSVBatch(line []byte, b *RecordBatch) error {
-	var cols [7][]byte
-	n := 0
-	for n < 6 {
-		i := bytes.IndexByte(line, '\t')
-		if i < 0 {
-			return errColumns
-		}
-		cols[n], line = line[:i], line[i+1:]
-		n++
-	}
-	cols[6] = line
-	rt, err := atoi64(cols[1])
-	if err != nil {
-		return fmt.Errorf("rtype: %w", err)
-	}
-	fs, err := atoi64(cols[3])
-	if err != nil {
-		return fmt.Errorf("first_seen: %w", err)
-	}
-	ls, err := atoi64(cols[4])
-	if err != nil {
-		return fmt.Errorf("last_seen: %w", err)
-	}
-	cnt, err := atoi64(cols[5])
-	if err != nil {
-		return fmt.Errorf("request_cnt: %w", err)
-	}
-	pd, err := atoi64(cols[6])
-	if err != nil {
-		return fmt.Errorf("pdate: %w", err)
-	}
-	b.Append(b.Syms.InternBytes(cols[0]), RType(rt), b.Syms.InternBytes(cols[2]),
-		fs, ls, cnt, Date(pd))
-	return nil
-}
-
-// atoi64 parses a decimal int64 from bytes without allocating on the happy
-// path. Anything unusual — empty input, a lone sign, non-digits, or enough
-// digits to overflow — falls back to strconv so the accepted value set and
-// the error text match the scalar codec exactly.
-func atoi64(s []byte) (int64, error) {
-	i, neg := 0, false
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		neg = s[0] == '-'
-		i = 1
-	}
-	// 18 digits cannot overflow int64; longer runs take the slow path.
-	if i == len(s) || len(s)-i > 18 {
-		return strconv.ParseInt(string(s), 10, 64)
-	}
-	var v int64
-	for ; i < len(s); i++ {
-		c := s[i] - '0'
-		if c > 9 {
-			return strconv.ParseInt(string(s), 10, 64)
-		}
-		v = v*10 + int64(c)
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-// CopyAllBatch streams every batch from r into fn, stopping on the first
-// error. The same batch value is passed to each call (Reset between calls);
-// consumers must not retain it. Returns the number of rows processed.
-func CopyAllBatch(r *Reader, b *RecordBatch, fn func(*RecordBatch) error) (int64, error) {
-	if b == nil {
-		b = NewRecordBatch(DefaultBatchRows)
-	}
-	var n int64
-	for {
-		b.Reset()
-		got, err := r.ReadBatch(b, cap(b.FQDN))
-		n += int64(got)
-		if got > 0 {
-			if ferr := fn(b); ferr != nil {
-				return n, ferr
-			}
-		}
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-	}
 }

@@ -41,20 +41,6 @@ func (t *Symtab) Intern(s string) Sym {
 	return sym
 }
 
-// InternBytes is Intern for a byte slice. The lookup itself does not
-// allocate (the compiler recognises the map[string(b)] form); the string is
-// materialised only the first time a value is seen.
-func (t *Symtab) InternBytes(b []byte) Sym {
-	if sym, ok := t.ids[string(b)]; ok {
-		return sym
-	}
-	s := string(b)
-	sym := Sym(len(t.strs))
-	t.ids[s] = sym
-	t.strs = append(t.strs, s)
-	return sym
-}
-
 // Lookup resolves a symbol back to its string. Unknown symbols resolve to
 // the empty string rather than panicking, so a batch referencing a foreign
 // table degrades into records that fail validation instead of crashing.

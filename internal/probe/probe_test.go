@@ -265,34 +265,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults = %+v", c)
 	}
 }
-
-func TestProbeRateLimit(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	})
-	tlsAddr, plainAddr, cleanup := newServerPair(t, h)
-	defer cleanup()
-	p := New(Config{
-		DialContext:   schemeDialer(tlsAddr, plainAddr),
-		Timeout:       2 * time.Second,
-		RatePerSecond: 20, // 50ms between requests
-		Concurrency:   8,
-	})
-	fqdns := make([]string, 6)
-	for i := range fqdns {
-		fqdns[i] = string(rune('a'+i)) + ".lambda-url.us-east-1.on.aws"
-	}
-	start := time.Now()
-	results := p.ProbeAll(context.Background(), fqdns)
-	elapsed := time.Since(start)
-	for _, r := range results {
-		if !r.Reachable {
-			t.Fatalf("probe failed: %+v", r)
-		}
-	}
-	// Six requests at 20 rps need at least ~250ms; without the limiter
-	// they finish in a few ms.
-	if elapsed < 200*time.Millisecond {
-		t.Errorf("campaign finished in %v; rate limiter not applied", elapsed)
-	}
-}

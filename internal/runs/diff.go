@@ -536,7 +536,7 @@ func (r *Report) Render() string {
 			if a.Deterministic {
 				gated = "yes"
 			}
-			at.AddRow(a.Name, match, gated, short(a.A), short(a.B))
+			at.AddRow(a.Name, match, gated, ShortHash(a.A), ShortHash(a.B))
 		}
 		b.WriteString(at.String())
 		b.WriteString("\n")
@@ -598,7 +598,10 @@ func fmtCal(v float64, ok bool) string {
 	return fmt.Sprintf("%.4f", v)
 }
 
-func short(fp string) string {
+// ShortHash truncates a fingerprint to its 12-character display prefix.
+// Archives are outside input, so a shorter value prints whole and an empty
+// one prints "-" rather than panicking on the slice.
+func ShortHash(fp string) string {
 	if len(fp) > 12 {
 		return fp[:12]
 	}

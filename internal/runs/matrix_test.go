@@ -106,8 +106,8 @@ func TestGateMatrixFailsRegressedCellOnly(t *testing.T) {
 	hot := Cell{Scale: 0.01, Workers: 8, Chaos: "heavy"}
 	writeCell(t, baseRoot, flat, 1e9)
 	writeCell(t, baseRoot, hot, 1e9)
-	writeCell(t, candRoot, flat, 1e9)  // happy path flat
-	writeCell(t, candRoot, hot, 4e9)   // heavy-chaos workers-8 regressed 4x
+	writeCell(t, candRoot, flat, 1e9) // happy path flat
+	writeCell(t, candRoot, hot, 4e9)  // heavy-chaos workers-8 regressed 4x
 	v, err := GateMatrix(baseRoot, candRoot, DefaultGateOptions())
 	if err != nil {
 		t.Fatal(err)
