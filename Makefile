@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet bench bench-json bench-matrix report prof timeline chaos gate health crash crash-full check
+.PHONY: build test race vet bench prof timeline chaos gate health crash crash-full check
 
 build:
 	$(GO) build ./...
@@ -35,38 +35,6 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# Snapshot of the parallel-substrate benchmarks in both formats: the raw
-# `go test -bench` text lands in BENCH_pipeline.txt (benchstat consumes it
-# directly: `benchstat old.txt BENCH_pipeline.txt`), and scfruns parses it
-# into structured BENCH_pipeline.json (`scfruns gate -bench-base old.json
-# -bench-new BENCH_pipeline.json` gates on mean ns/op drift). The same parse
-# appends one trajectory record to BENCH_history.jsonl, labeled with the
-# current git revision — `scfruns report -history BENCH_history.jsonl`
-# renders the resulting ns/op trajectory.
-# The text and JSON snapshots derive from ONE captured `go test` output (no
-# tee pipe, whose exit status would mask a bench failure), and the parse step
-# errors out when the capture contains zero benchmark lines.
-bench-json:
-	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|BatchCodec' \
-		-benchmem -count=5 -run=^$$ ./... > BENCH_pipeline.txt 2>&1 \
-		|| { cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1; }
-	cat BENCH_pipeline.txt
-	$(GO) run ./cmd/scfruns bench -i BENCH_pipeline.txt -o BENCH_pipeline.json \
-		-history BENCH_history.jsonl -label "$$(git rev-parse --short HEAD 2>/dev/null || echo local)"
-
-# Scenario benchmark matrix: run the default {scale}×{workers}×{chaos} sweep
-# through the full pipeline with the resource sampler on, one archive per
-# cell under .runs/matrix/<cell-id>/. `make report` then renders the matrix,
-# the bench capture, and the committed trajectory into PERF_REPORT.md —
-# byte-identical across renders over the same archives.
-bench-matrix:
-	$(GO) run ./cmd/scfruns matrix -dir .runs
-
-report:
-	$(GO) run ./cmd/scfruns report -dir .runs \
-		-bench BENCH_pipeline.json -history BENCH_history.jsonl -o PERF_REPORT.md
-	@echo "wrote PERF_REPORT.md"
 
 # Continuous profiling pass: run the golden configuration with -profile (the
 # run ID and every deterministic fingerprint are unchanged by profiling, so
@@ -124,7 +92,6 @@ crash-full:
 	SCF_CRASH_FULL=1 $(GO) test -race -count=1 -run 'TestCrashResume' -timeout 30m ./internal/core/
 
 # Tier-1 suite — what CI (.github/workflows/ci.yml) runs on every push/PR.
-# bench-matrix/report stay out of check: they run the full pipeline once per
-# matrix cell, which is an opt-in perf sweep, not a correctness gate.
+# Performance is measured by `bash perfbench/run.sh`, not by check.
 # crash-full stays out for wall-time; the reduced crash matrix is in.
 check: build vet test race gate crash

@@ -18,6 +18,8 @@ import (
 // wires them to it — and the measurement packages stay decoupled: content
 // is a leaf, pdns sits on providers and the binary codec, and probe takes
 // its breaker as a local interface rather than importing the fault layer.
+// The run archive and its reader never run the pipeline: runs and
+// cmd/scfruns import no pipeline stage, fault layer or core.
 func TestImportBoundaries(t *testing.T) {
 	allowed := map[string][]string{
 		"internal/paper":        {"internal/providers"},
@@ -29,6 +31,8 @@ func TestImportBoundaries(t *testing.T) {
 		"internal/probe":        {"internal/obs", "internal/pdns"},
 		"internal/content":      nil,
 		"internal/pdns":         {"internal/binio", "internal/obs", "internal/providers"},
+		"internal/runs":         {"internal/health", "internal/obs", "internal/obs/timeline", "internal/paper", "internal/prof", "internal/report"},
+		"cmd/scfruns":           {"internal/checkpoint", "internal/obs", "internal/obs/timeline", "internal/paper", "internal/prof", "internal/report", "internal/runs"},
 	}
 	for dir, ok := range allowed {
 		for _, imp := range repoImports(t, dir) {

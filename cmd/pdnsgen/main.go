@@ -68,7 +68,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer file.Close()
 		w = file
 	}
 
@@ -106,6 +105,12 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "pdnsgen: corrupted %d lines (chaos %s)\n", corrupter.Corrupted(), chaosProf.String())
+	}
+	// A failed close means a truncated dataset, so it must fail the run.
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "pdnsgen: %d functions, %d records\n", len(pop.Functions), writer.Count())
 }

@@ -2,7 +2,7 @@
 // run archives itself under .runs/<run-id>/ (summary, calibration shares,
 // stage timings, manifest, event log, Chrome trace, artifact fingerprints);
 // scfruns reads those archives back, compares them, and turns the
-// comparison into a CI verdict.
+// comparison into a CI verdict. It never runs the pipeline itself.
 //
 // Usage:
 //
@@ -12,11 +12,6 @@
 //	scfruns diff -json r-aaaa r-bbbb      # the same, machine-readable
 //	scfruns gate -baseline internal/runs/testdata/golden
 //	scfruns gate -baseline old/ new/ -wall-tol 3
-//	scfruns gate -matrix-base old/ -matrix-new .runs
-//	scfruns bench -i BENCH.txt -o BENCH.json
-//	scfruns bench -i BENCH.txt -history BENCH_history.jsonl -label pr-7
-//	scfruns matrix -cells 'scale=0.01;workers=1,8;chaos=none,heavy'
-//	scfruns report -bench BENCH_pipeline.json -history BENCH_history.jsonl
 //	scfruns prof show r-1a2b3c4d5e6f        # hotspots + stage attribution
 //	scfruns prof diff -baseline r-aaaa r-bbbb
 //	scfruns timeline r-1a2b3c4d5e6f         # windowed telemetry + anomalies
@@ -30,22 +25,10 @@
 // per-provider probe error-rate growth or p99 drift (from the labeled
 // metric vectors the timings snapshot carries), new/grown degradations,
 // deterministic-artifact fingerprint changes, or calibration shares leaving
-// the paper's acceptance bands. With -matrix-base it additionally gates
-// every scenario-matrix cell of the candidate root against the same cell of
-// the baseline root, so a regression confined to one corner of the grid
-// (say heavy-chaos workers-8) still fails the gate.
+// the paper's acceptance bands.
 //
-// matrix executes the {scale}×{workers}×{chaos} scenario sweep through the
-// full pipeline, archiving each cell under <dir>/matrix/<cell-id>/ with the
-// resource sampler enabled; report renders the matrix, bench deltas, and
-// the committed perf trajectory into one deterministic Markdown artifact —
-// two renders over identical archives are byte-identical. bench converts
-// `go test -bench` text into the structured JSON BENCH_pipeline.json holds
-// (appending a trajectory record with -history), and gate's
-// -bench-base/-bench-new compare two such files on both mean ns/op
-// (-bench-tol) and mean allocs/op (-allocs-tol, a plain ratio ceiling,
-// default 1.10x) so an allocation regression fails the gate even when
-// wall-clock time hides it.
+// Pipeline performance (wall, CPU, peak RSS, per-layer costs) is measured by
+// the separate perfbench module (`bash perfbench/run.sh`), not by scfruns.
 //
 // prof reads the pprof profiles a `scfpipe -profile` run archived under
 // profiles/: show renders deterministic per-function hotspot tables and the
@@ -59,12 +42,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -73,9 +54,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/paper"
 	"repro/internal/prof"
@@ -119,12 +97,6 @@ func run(args []string) int {
 		err = cmdDiff(args[1:])
 	case "gate":
 		err = cmdGate(args[1:])
-	case "bench":
-		err = cmdBench(args[1:])
-	case "matrix":
-		err = cmdMatrix(args[1:])
-	case "report":
-		err = cmdReport(args[1:])
 	case "prof":
 		err = cmdProf(args[1:])
 	case "timeline":
@@ -157,21 +129,13 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: scfruns <list|show|diff|gate|bench|matrix|report|prof|timeline> [flags] [args]
+	fmt.Fprintln(os.Stderr, `usage: scfruns <list|show|diff|gate|prof|timeline> [flags] [args]
 
   list                     list archived runs under -dir, newest first
   show <run>               print one archive: config, stages, calibration
   diff <a> <b>             compare two archives dimension by dimension
   gate -baseline <run> [candidate]
                            diff + thresholds; exit 1 on regression
-                           (-matrix-base/-matrix-new gate per matrix cell)
-  bench -i in.txt -o out.json
-                           parse 'go test -bench' text into structured JSON
-                           (-history/-label append a trajectory record)
-  matrix -cells <spec>     run the scenario sweep; one archive per cell
-                           under <dir>/matrix/<cell-id>/
-  report                   render the matrix + bench + trajectory report
-                           as deterministic Markdown
   prof show <run>          render hotspot + label-attribution tables from a
                            run's archived pprof profiles
   prof diff -baseline <run> <candidate>
@@ -455,7 +419,7 @@ func cmdGate(args []string) error {
 	dir := dirFlag(fs)
 	def := runs.DefaultGateOptions()
 	var (
-		baseline   = fs.String("baseline", "", "baseline run (directory or run ID; required unless only benching)")
+		baseline   = fs.String("baseline", "", "baseline run (directory or run ID; required)")
 		wallTol    = fs.Float64("wall-tol", def.WallTol, "stage wall regression tolerance as a ratio above 1 (negative disables)")
 		wallFloor  = fs.Duration("wall-floor", def.WallFloor, "minimum absolute wall delta before the ratio check applies")
 		p99Tol     = fs.Float64("p99-tol", def.P99Tol, "histogram p99 regression tolerance as a ratio above 1 (negative disables)")
@@ -464,19 +428,35 @@ func cmdGate(args []string) error {
 		noDegr     = fs.Bool("no-degradations", false, "skip degradation-drift gating")
 		noArt      = fs.Bool("no-artifacts", false, "skip deterministic-artifact fingerprint gating")
 		noCal      = fs.Bool("no-calibration", false, "skip paper-calibration gating")
-		benchBase  = fs.String("bench-base", "", "baseline bench JSON (from 'scfruns bench')")
-		benchNew   = fs.String("bench-new", "", "candidate bench JSON to gate against -bench-base")
-		benchTol   = fs.Float64("bench-tol", 0.5, "mean ns/op regression tolerance as a ratio above 1")
-		allocsTol  = fs.Float64("allocs-tol", 1.10, "mean allocs/op regression ceiling as a plain ratio (<= 0 disables)")
-		matrixBase = fs.String("matrix-base", "", "baseline archive root whose matrix/ cells gate the candidate's")
-		matrixNew  = fs.String("matrix-new", "", "candidate archive root for -matrix-base (default: -dir)")
 		quiet      = fs.Bool("quiet", false, "suppress the full diff; print only violations")
 	)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if *baseline == "" {
+		return usageError{"gate: -baseline is required"}
+	}
 
-	opts := runs.GateOptions{
+	a, err := load(*dir, *baseline)
+	if err != nil {
+		return err
+	}
+	// Identical configs share a run ID, so the candidate defaults to the
+	// baseline's slot under -dir: "did the same experiment regress?"
+	candArg := a.Summary.ID
+	if fs.NArg() > 0 {
+		candArg = fs.Arg(0)
+	}
+	b, err := load(*dir, candArg)
+	if err != nil {
+		return fmt.Errorf("candidate: %w", err)
+	}
+	rep := runs.Diff(a, b)
+	if !*quiet {
+		fmt.Println(rep.Render())
+		fmt.Println()
+	}
+	violations := rep.Gate(runs.GateOptions{
 		WallTol:      *wallTol,
 		WallFloor:    *wallFloor,
 		P99Tol:       *p99Tol,
@@ -485,76 +465,13 @@ func cmdGate(args []string) error {
 		Degradations: !*noDegr,
 		Artifacts:    !*noArt,
 		Calibration:  !*noCal,
-	}
-	var violations []string
-
-	if *baseline != "" {
-		a, err := load(*dir, *baseline)
-		if err != nil {
-			return err
-		}
-		// Identical configs share a run ID, so the candidate defaults to the
-		// baseline's slot under -dir: "did the same experiment regress?"
-		candArg := a.Summary.ID
-		if fs.NArg() > 0 {
-			candArg = fs.Arg(0)
-		}
-		b, err := load(*dir, candArg)
-		if err != nil {
-			return fmt.Errorf("candidate: %w", err)
-		}
-		rep := runs.Diff(a, b)
-		if !*quiet {
-			fmt.Println(rep.Render())
-			fmt.Println()
-		}
-		violations = append(violations, rep.Gate(opts)...)
-		// Advisory only: profile contents are machine-varying, so hotspot
-		// drift informs the verdict's reader but never fails the gate. Most
-		// runs (including the golden baseline) are unprofiled; then this
-		// prints nothing.
-		if adv := profAdvisory(a.Dir, b.Dir); adv != "" {
-			fmt.Println(adv)
-		}
-	} else if fs.NArg() > 0 {
-		return usageError{"gate: candidate given without -baseline"}
-	}
-
-	if *matrixNew != "" && *matrixBase == "" {
-		return usageError{"gate: -matrix-new given without -matrix-base"}
-	}
-	if *matrixBase != "" {
-		candRoot := *matrixNew
-		if candRoot == "" {
-			candRoot = *dir
-		}
-		mv, err := runs.GateMatrix(*matrixBase, candRoot, opts)
-		if err != nil {
-			return err
-		}
-		violations = append(violations, mv...)
-	}
-
-	if (*benchBase == "") != (*benchNew == "") {
-		return usageError{"gate: -bench-base and -bench-new must be given together"}
-	}
-	if *benchBase != "" {
-		ba, err := readBenchFile(*benchBase)
-		if err != nil {
-			return err
-		}
-		bb, err := readBenchFile(*benchNew)
-		if err != nil {
-			return err
-		}
-		if !*quiet {
-			fmt.Println(runs.RenderBenchDiff(runs.DiffBench(ba, bb)))
-		}
-		violations = append(violations, runs.GateBench(ba, bb, *benchTol, *allocsTol)...)
-	}
-
-	if *baseline == "" && *benchBase == "" && *matrixBase == "" {
-		return usageError{"gate: nothing to gate (need -baseline, -matrix-base, and/or -bench-base/-bench-new)"}
+	})
+	// Advisory only: profile contents are machine-varying, so hotspot drift
+	// informs the verdict's reader but never fails the gate. Most runs
+	// (including the golden baseline) are unprofiled; then this prints
+	// nothing.
+	if adv := profAdvisory(a.Dir, b.Dir); adv != "" {
+		fmt.Println(adv)
 	}
 
 	if len(violations) > 0 {
@@ -565,179 +482,6 @@ func cmdGate(args []string) error {
 		return errGateFailed
 	}
 	fmt.Println("GATE PASSED")
-	return nil
-}
-
-func readBenchFile(path string) (*runs.BenchSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return runs.ReadBenchJSON(f)
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	in := fs.String("i", "", "bench text input file (default: stdin)")
-	out := fs.String("o", "", "JSON output file (default: stdout)")
-	history := fs.String("history", "", "append a trajectory record to this JSONL file")
-	label := fs.String("label", "", "label for the -history record (e.g. a git revision)")
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	var r io.Reader = os.Stdin
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	set, err := runs.ParseBench(r)
-	if err != nil {
-		return err
-	}
-	if *history != "" {
-		e := runs.HistoryEntryFrom(set, *label, time.Now().UTC().Format(time.RFC3339))
-		if err := runs.AppendHistory(*history, e); err != nil {
-			return err
-		}
-		log.Printf("appended %d benchmark means to %s", len(e.Bench), *history)
-	}
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return set.WriteJSON(w)
-}
-
-func cmdMatrix(args []string) error {
-	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
-	dir := dirFlag(fs)
-	var (
-		cellSpec    = fs.String("cells", runs.DefaultCellSpec, "scenario spec: ';'-separated scale=/workers=/chaos= dimensions, ','-separated values")
-		seed        = fs.Int64("seed", 1, "substrate seed shared by every cell")
-		skipC2      = fs.Bool("skip-c2", true, "skip the C2 fingerprint sweep in each cell")
-		timeout     = fs.Duration("probe-timeout", 2*time.Second, "per-request probe timeout")
-		resInterval = fs.Duration("resource-interval", 50*time.Millisecond, "runtime resource sampler interval (0 disables)")
-	)
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return usageError{"matrix: unexpected positional arguments"}
-	}
-	cells, err := runs.ParseCells(*cellSpec)
-	if err != nil {
-		return err
-	}
-	root := filepath.Join(*dir, runs.MatrixDir)
-	log.Printf("matrix: %d cell(s) under %s", len(cells), root)
-	for _, cell := range cells {
-		chaosProf, err := fault.ParseProfile(cell.Chaos)
-		if err != nil {
-			return err
-		}
-		// Each cell gets a fresh registry/trace/event log so archives never
-		// bleed telemetry into each other.
-		reg, tr, elog := obs.NewRegistry(), obs.NewTrace(), obs.NewEventLog()
-		ctx := obs.ContextWithEventLog(obs.ContextWithTrace(context.Background(), tr), elog)
-		start := time.Now()
-		res, err := core.RunContext(ctx, core.Config{
-			Seed:             *seed,
-			Scale:            cell.Scale,
-			Workers:          cell.Workers,
-			Chaos:            chaosProf,
-			SkipC2Scan:       *skipC2,
-			ProbeTimeout:     *timeout,
-			Metrics:          reg,
-			ResourceInterval: *resInterval,
-		})
-		if err != nil {
-			return fmt.Errorf("matrix: cell %s: %w", cell.ID(), err)
-		}
-		slot := filepath.Join(root, cell.ID())
-		if err := runs.WriteDir(slot, res.BuildArchive("scfruns-matrix", elog)); err != nil {
-			return err
-		}
-		log.Printf("matrix: cell %s done in %v", cell.ID(), time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	dir := dirFlag(fs)
-	var (
-		baseDir   = fs.String("baseline-dir", "", "baseline archive root whose matrix cells provide the Δ columns")
-		bench     = fs.String("bench", "", "current bench JSON (from 'scfruns bench')")
-		benchBase = fs.String("bench-base", "", "baseline bench JSON to delta against")
-		history   = fs.String("history", "", "perf-trajectory JSONL (BENCH_history.jsonl)")
-		profRun   = fs.String("prof", "", "run (directory or ID under -dir) whose CPU profile renders the hotspots section")
-		profBase  = fs.String("prof-base", "", "baseline run to drift the -prof run's CPU hotspots against")
-		out       = fs.String("o", "", "write the Markdown report here instead of stdout")
-	)
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return usageError{"report: unexpected positional arguments"}
-	}
-	var in runs.PerfReportInput
-	var err error
-	if in.Cells, err = runs.ListMatrix(*dir); err != nil {
-		return err
-	}
-	if *baseDir != "" {
-		baseCells, err := runs.ListMatrix(*baseDir)
-		if err != nil {
-			return err
-		}
-		in.Baselines = make(map[string]*runs.Record, len(baseCells))
-		for _, rec := range baseCells {
-			in.Baselines[filepath.Base(rec.Dir)] = rec
-		}
-	}
-	if *bench != "" {
-		if in.Bench, err = readBenchFile(*bench); err != nil {
-			return err
-		}
-	}
-	if *benchBase != "" {
-		if in.BenchBase, err = readBenchFile(*benchBase); err != nil {
-			return err
-		}
-	}
-	if *history != "" {
-		if in.History, err = runs.ReadHistory(*history); err != nil {
-			return err
-		}
-	}
-	if *profBase != "" && *profRun == "" {
-		return usageError{"report: -prof-base given without -prof"}
-	}
-	if *profRun != "" {
-		// Tolerant by design: a report over an unprofiled run renders every
-		// other section and just drops the hotspots, so one CI job can cover
-		// both profiled and unprofiled pipelines.
-		if hot, herr := renderProfHotspots(*dir, *profRun, *profBase); herr != nil {
-			log.Printf("warning: %v; omitting the CPU hotspots section", herr)
-		} else {
-			in.ProfHotspots = hot
-		}
-	}
-	md := runs.RenderPerfReport(in)
-	if *out != "" {
-		return os.WriteFile(*out, []byte(md), 0o644)
-	}
-	fmt.Print(md)
 	return nil
 }
 
@@ -946,38 +690,6 @@ func profAdvisory(baseDir, candDir string) string {
 	return b.String()
 }
 
-// renderProfHotspots builds the perf report's CPU hotspots section: the
-// candidate run's hotspot tables, plus a drift table when a baseline run
-// with a CPU profile is named.
-func renderProfHotspots(root, runArg, baseArg string) (string, error) {
-	rdir, err := resolve(root, runArg)
-	if err != nil {
-		return "", err
-	}
-	hot, err := renderProfShow(rdir, "cpu", 15)
-	if err != nil {
-		return "", err
-	}
-	if baseArg == "" {
-		return hot, nil
-	}
-	bdir, err := resolve(root, baseArg)
-	if err != nil {
-		return "", err
-	}
-	base, name, err := loadRunProfile(bdir, "cpu", "")
-	if err != nil {
-		return "", err
-	}
-	cand, _, err := loadRunProfile(rdir, "cpu", "")
-	if err != nil {
-		return "", err
-	}
-	d := prof.DiffFlat(base, cand, "", profDiffMinSamples)
-	return hot + fmt.Sprintf("== drift %s: %s -> %s ==\n\n", name, filepath.Base(bdir), filepath.Base(rdir)) +
-		prof.RenderDrift(d, 10), nil
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -1001,6 +713,9 @@ func cmdTimeline(args []string) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	if *diff && *asJSON {
+		return usageError{"timeline: -json and -diff are mutually exclusive"}
+	}
 	var rendered string
 	switch {
 	case *diff:
@@ -1022,9 +737,6 @@ func cmdTimeline(args []string) error {
 		bws, err := runs.ReadTimeline(b.Dir)
 		if err != nil {
 			return err
-		}
-		if *asJSON {
-			return usageError{"timeline: -json and -diff are mutually exclusive"}
 		}
 		rendered = report.RenderTimelineDiff(a.Summary.ID, b.Summary.ID, aws, bws)
 	default:

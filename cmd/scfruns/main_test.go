@@ -12,16 +12,6 @@ import (
 	"repro/internal/runs"
 )
 
-// benchText is a minimal 'go test -bench' transcript cmdBench can parse.
-const benchText = `goos: linux
-goarch: amd64
-pkg: repro/internal/analysis
-cpu: Test CPU
-BenchmarkTable2Resolution-8   	     100	  10000 ns/op	    2048 B/op	      12 allocs/op
-BenchmarkTable2Resolution-8   	     100	  10200 ns/op	    2048 B/op	      12 allocs/op
-PASS
-`
-
 func TestRunDispatchExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -35,114 +25,16 @@ func TestRunDispatchExitCodes(t *testing.T) {
 		{"subcommand help flag", []string{"gate", "-h"}, 0},
 		{"gate nothing to gate", []string{"gate"}, 2},
 		{"gate bad err-tol", []string{"gate", "-err-tol", "banana"}, 2},
-		{"gate bench flags unpaired", []string{"gate", "-bench-base", "x.json"}, 2},
 		{"gate candidate without baseline", []string{"gate", "some-run"}, 2},
-		{"gate matrix-new without matrix-base", []string{"gate", "-matrix-new", "x"}, 2},
 		{"show no args", []string{"show"}, 2},
 		{"show unknown run", []string{"show", "-dir", t.TempDir(), "r-nope"}, 1},
 		{"show short hashes", []string{"show", shortHashArchive(t)}, 0},
 		{"diff wrong arity", []string{"diff", "only-one"}, 2},
-		{"matrix bad cell spec", []string{"matrix", "-cells", "shards=4"}, 1},
-		{"matrix positional args", []string{"matrix", "stray"}, 2},
-		{"report empty root ok", []string{"report", "-dir", t.TempDir()}, 0},
-		{"bench missing input", []string{"bench", "-i", "no-such-file.txt"}, 1},
+		{"timeline json with diff before any read", []string{"timeline", "-diff", "-json", "-dir", t.TempDir(), "r-a", "r-b"}, 2},
 	} {
 		if got := run(tc.args); got != tc.want {
 			t.Errorf("%s: run(%v) = %d, want %d", tc.name, tc.args, got, tc.want)
 		}
-	}
-}
-
-func TestRunBenchHistoryAppend(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(in, []byte(benchText), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "bench.json")
-	hist := filepath.Join(dir, runs.HistoryFile)
-	if got := run([]string{"bench", "-i", in, "-o", out, "-history", hist, "-label", "pr-7"}); got != 0 {
-		t.Fatalf("bench exit %d", got)
-	}
-	set, err := readBenchFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Results) != 2 || set.Results[0].Base != "BenchmarkTable2Resolution" {
-		t.Fatalf("bench JSON wrong: %+v", set.Results)
-	}
-	entries, err := runs.ReadHistory(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Label != "pr-7" {
-		t.Fatalf("history wrong: %+v", entries)
-	}
-	if ns := entries[0].Bench["BenchmarkTable2Resolution"].NsPerOp; ns != 10100 {
-		t.Fatalf("history mean ns/op: want 10100, got %v", ns)
-	}
-}
-
-// matrixCell writes one minimal cell archive so gate/report paths can be
-// exercised without running the pipeline.
-func matrixCell(t *testing.T, root string, c runs.Cell, identifyWallNS int64) {
-	t.Helper()
-	arch := &runs.Archive{
-		Summary: runs.Summary{
-			Tool: "test",
-			Meta: map[string]string{"chaos": c.Chaos, "cell": c.ID()},
-		},
-		Timings: runs.Timings{
-			ElapsedNS: identifyWallNS * 2,
-			Stages:    []obs.StageTiming{{Path: "identify", WallNS: identifyWallNS, CPUNS: identifyWallNS}},
-			Resources: []obs.ResourceStats{{Stage: "identify", Samples: 2, MaxHeapInuseBytes: 1 << 20, MaxGoroutines: 4}},
-		},
-	}
-	if err := runs.WriteDir(filepath.Join(root, runs.MatrixDir, c.ID()), arch); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunGateMatrixExitCodes(t *testing.T) {
-	baseRoot, candRoot := t.TempDir(), t.TempDir()
-	cell := runs.Cell{Scale: 0.01, Workers: 1, Chaos: "none"}
-	matrixCell(t, baseRoot, cell, 1e9)
-	matrixCell(t, candRoot, cell, 1e9)
-	if got := run([]string{"gate", "-quiet", "-matrix-base", baseRoot, "-matrix-new", candRoot}); got != 0 {
-		t.Fatalf("flat matrix must gate clean, exit %d", got)
-	}
-	// Regress the candidate cell 4x: the per-cell gate must fail (exit 1).
-	matrixCell(t, candRoot, cell, 4e9)
-	if got := run([]string{"gate", "-quiet", "-matrix-base", baseRoot, "-matrix-new", candRoot}); got != 1 {
-		t.Fatalf("regressed matrix cell must exit 1, got %d", got)
-	}
-}
-
-func TestRunReportDeterministic(t *testing.T) {
-	root := t.TempDir()
-	matrixCell(t, root, runs.Cell{Scale: 0.01, Workers: 1, Chaos: "none"}, 1e9)
-	matrixCell(t, root, runs.Cell{Scale: 0.01, Workers: 8, Chaos: "heavy"}, 2e9)
-	out1 := filepath.Join(t.TempDir(), "r1.md")
-	out2 := filepath.Join(t.TempDir(), "r2.md")
-	if got := run([]string{"report", "-dir", root, "-o", out1}); got != 0 {
-		t.Fatalf("report exit %d", got)
-	}
-	if got := run([]string{"report", "-dir", root, "-o", out2}); got != 0 {
-		t.Fatalf("report exit %d", got)
-	}
-	a, err := os.ReadFile(out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("report must be byte-identical across runs on identical archives")
-	}
-	if !strings.Contains(string(a), "s0.01-w8-cheavy") || !strings.Contains(string(a), "## Resource high-water marks") {
-		t.Fatalf("report missing expected sections:\n%s", a)
 	}
 }
 
@@ -225,7 +117,7 @@ func TestRunTimelineRenderDeterministic(t *testing.T) {
 	}
 
 	// list surfaces the anomaly count; archives without a timeline show "-".
-	matrixCell(t, root, runs.Cell{Scale: 0.01, Workers: 1, Chaos: "none"}, 1e9)
+	timelineArchive(t, root, "r-no-timeline", nil)
 	listOut := captureStdout(t, func() {
 		if got := run([]string{"list", "-dir", root}); got != 0 {
 			t.Fatalf("list exit %d", got)

@@ -486,7 +486,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		res.Timeline = rec.Stop()
 		res.Profiles = capturer.Stop()
 		// Drop this goroutine's stage label so a later run on the same
-		// goroutine (tests, the scenario matrix) starts unlabeled.
+		// goroutine (tests that run several pipelines) starts unlabeled.
 		pprof.SetGoroutineLabels(context.Background())
 		res.Stages = tr.Records()
 		res.Health = mon.Finalize()

@@ -214,9 +214,8 @@ func fillSummary(a *Archive) {
 	}
 }
 
-// WriteDir persists a into exactly dir, regardless of the run ID — the
-// scenario matrix uses this to key archive slots by cell ID. The summary is
-// still completed (hash, ID, fingerprints) exactly as Write does.
+// WriteDir persists a into exactly dir, regardless of the run ID. The
+// summary is still completed (hash, ID, fingerprints) exactly as Write does.
 //
 // The write is atomic at directory granularity: everything lands in a
 // sibling temp directory first, an existing checkpoints/ subdirectory is
@@ -383,19 +382,14 @@ func readJSON(path string, v any) error {
 	return nil
 }
 
-// List loads every archive under root, newest first by on-disk modification
-// time (CreatedAt breaks mtime ties — e.g. archives restored from a copy —
-// and ID breaks those). Directories without a readable summary are skipped.
-func List(root string) ([]*Record, error) {
-	recs, _, err := ListWarn(root)
-	return recs, err
-}
-
-// ListWarn is List plus a warning per skipped directory that looks like a
-// partial or corrupt run — one a crash left behind mid-archive, or one whose
-// summary no longer parses. Directories that merely aren't run archives
-// (no run files at all) are skipped silently, and dot-prefixed entries
-// (in-flight temp/trash dirs from the atomic writer) are invisible.
+// ListWarn loads every archive under root, newest first by on-disk
+// modification time (CreatedAt breaks mtime ties — e.g. archives restored
+// from a copy — and ID breaks those). Directories without a readable summary
+// are skipped, with a warning for each one that looks like a partial or
+// corrupt run — one a crash left behind mid-archive, or one whose summary no
+// longer parses. Directories that merely aren't run archives (no run files
+// at all) are skipped silently, and dot-prefixed entries (in-flight
+// temp/trash dirs from the atomic writer) are invisible.
 func ListWarn(root string) ([]*Record, []string, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {

@@ -121,7 +121,7 @@ func TestListNewestFirst(t *testing.T) {
 	if _, err := Write(root, sampleArchive("2026-08-06T00:00:00Z")); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := List(root)
+	recs, _, err := ListWarn(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +129,15 @@ func TestListNewestFirst(t *testing.T) {
 		t.Fatalf("want 2 runs, got %d", len(recs))
 	}
 	if recs[0].Timings.CreatedAt < recs[1].Timings.CreatedAt {
-		t.Fatalf("List not newest-first: %s before %s",
+		t.Fatalf("ListWarn not newest-first: %s before %s",
 			recs[0].Timings.CreatedAt, recs[1].Timings.CreatedAt)
 	}
 }
 
 func TestListMissingRoot(t *testing.T) {
-	recs, err := List(filepath.Join(t.TempDir(), "absent"))
-	if err != nil || recs != nil {
-		t.Fatalf("List(absent) = %v, %v; want nil, nil", recs, err)
+	recs, warns, err := ListWarn(filepath.Join(t.TempDir(), "absent"))
+	if err != nil || recs != nil || warns != nil {
+		t.Fatalf("ListWarn(absent) = %v, %v, %v; want nil, nil, nil", recs, warns, err)
 	}
 }
 
