@@ -94,4 +94,4 @@ crash-full:
 # Tier-1 suite — what CI (.github/workflows/ci.yml) runs on every push/PR.
 # Performance is measured by `bash perfbench/run.sh`, not by check.
 # crash-full stays out for wall-time; the reduced crash matrix is in.
-check: build vet test race gate crash
+check: build vet test race gate health crash

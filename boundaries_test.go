@@ -17,7 +17,8 @@ import (
 // health, profiles) never reach into the pipeline they observe — core alone
 // wires them to it — and the measurement packages stay decoupled: content
 // is a leaf, pdns sits on providers and the binary codec, and probe takes
-// its breaker as a local interface rather than importing the fault layer.
+// its breaker as a local interface rather than importing the fault layer,
+// which in turn reaches a probe request only through probe.Expire.
 // The run archive and its reader never run the pipeline: runs and
 // cmd/scfruns import no pipeline stage, fault layer or core.
 func TestImportBoundaries(t *testing.T) {
@@ -29,6 +30,7 @@ func TestImportBoundaries(t *testing.T) {
 		"internal/obs/timeline": {"internal/obs", "internal/prof"},
 		"internal/health":       {"internal/obs", "internal/prof"},
 		"internal/probe":        {"internal/obs", "internal/pdns"},
+		"internal/fault":        {"internal/obs", "internal/pdns", "internal/probe"},
 		"internal/content":      nil,
 		"internal/pdns":         {"internal/binio", "internal/obs", "internal/providers"},
 		"internal/runs":         {"internal/health", "internal/obs", "internal/obs/timeline", "internal/paper", "internal/prof", "internal/report"},

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/probe"
 )
 
 // chaosActive reports whether the test binary runs under an SCF_CHAOS
@@ -225,5 +229,43 @@ func TestDegradationCollection(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("degradations = %v, want %v", got, want)
+	}
+}
+
+// TestTruncationKillsEdgeHandshake pins what fault.Plan promises of its
+// truncation budget against core's edge: even the largest budget the fault
+// layer draws runs out before the prober's TLS handshake completes, so a
+// truncated function is reachable over plain HTTP only. A smaller handshake
+// (fewer key shares, a shorter certificate) must not cross the budget.
+func TestTruncationKillsEdgeHandshake(t *testing.T) {
+	servers, err := startServers(faas.NewGateway(faas.NewPlatform()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer servers.Close()
+
+	in := fault.New(fault.Profile{Name: "truncate", Seed: 1, Truncate: 1})
+	fqdn, budget := "", 0
+	for i := 0; i < 10000 && budget < 639; i++ {
+		f := fmt.Sprintf("f%d.example.com", i)
+		if b := in.PlanFor(f).TruncateAfter; b > budget {
+			fqdn, budget = f, b
+		}
+	}
+	if budget != 639 {
+		t.Fatalf("largest budget drawn %d, want 639", budget)
+	}
+	for _, tc := range []struct {
+		name      string
+		dial      fault.DialFunc
+		wantHTTPS bool
+	}{
+		{"intact", simDialer(servers, nil), true},
+		{"truncated", in.WrapDial(simDialer(servers, nil)), false},
+	} {
+		p := probe.New(probe.Config{Timeout: 30 * time.Second, DialContext: tc.dial})
+		if r := p.Probe(context.Background(), fqdn); r.HTTPS != tc.wantHTTPS {
+			t.Errorf("%s (budget %d): HTTPS %v, want %v (%+v)", tc.name, budget, r.HTTPS, tc.wantHTTPS, r)
+		}
 	}
 }

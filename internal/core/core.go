@@ -960,22 +960,22 @@ func scanC2(ctx context.Context, cfg Config, servers *gatewayServers, db *c2.DB,
 
 // simDialer routes the prober at the simulated edge: port 443 to the TLS
 // listener, everything else to the plain listener. HTTP-only functions
-// refuse TLS, and unknown ports refuse outright.
+// refuse TLS, and unknown ports refuse outright. The edge indexes each
+// connection, so an internal-only stall ends the request that dialed it.
 func simDialer(servers *gatewayServers, httpOnly map[string]bool) func(ctx context.Context, network, addr string) (net.Conn, error) {
 	return func(ctx context.Context, network, addr string) (net.Conn, error) {
 		host, port, err := net.SplitHostPort(addr)
 		if err != nil {
 			return nil, err
 		}
-		var d net.Dialer
 		switch port {
 		case "443":
 			if httpOnly[strings.ToLower(host)] {
 				return nil, fmt.Errorf("connection refused (no TLS listener for %s)", host)
 			}
-			return d.DialContext(ctx, network, servers.tlsAddr)
+			return servers.dial(ctx, network, servers.tlsAddr, host)
 		default:
-			return d.DialContext(ctx, network, servers.plainAddr)
+			return servers.dial(ctx, network, servers.plainAddr, host)
 		}
 	}
 }

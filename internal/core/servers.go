@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -13,8 +14,12 @@ import (
 	"math/big"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/faas"
+	"repro/internal/probe"
 )
 
 // gatewayServers exposes the simulated cloud edge over real sockets: one
@@ -29,10 +34,18 @@ type gatewayServers struct {
 	tlsLn   net.Listener
 	srv     *http.Server
 	wg      sync.WaitGroup
+
+	// conns indexes each live connection made through dial by its full
+	// 4-tuple (connKey). The client address alone is not unique: Linux hands one
+	// ephemeral port to concurrent loopback connections to the plain and
+	// the TLS listener.
+	conns sync.Map // connKey → *indexedConn
 }
 
-// startServers launches both listeners on loopback.
-func startServers(handler http.Handler) (*gatewayServers, error) {
+// startServers launches both listeners on loopback, serving gw. An
+// internal-only stall on a connection made through dial ends the probe
+// request that made it at once.
+func startServers(gw *faas.Gateway) (*gatewayServers, error) {
 	plainLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("core: plain listener: %w", err)
@@ -58,12 +71,63 @@ func startServers(handler http.Handler) (*gatewayServers, error) {
 		// The chaos layer aborts handshakes and resets connections by
 		// design; the server's complaints about them are expected noise,
 		// not signal, so they are dropped rather than spammed to stderr.
-		srv: &http.Server{Handler: handler, ErrorLog: log.New(io.Discard, "", 0)},
+		srv: &http.Server{Handler: gw, ErrorLog: log.New(io.Discard, "", 0)},
 	}
+	// Set before the servers start, so every handler goroutine sees it.
+	gw.Stalled = g.expire
 	g.wg.Add(2)
 	go func() { defer g.wg.Done(); g.srv.Serve(plainLn) }()
 	go func() { defer g.wg.Done(); g.srv.Serve(tlsLn) }()
 	return g, nil
+}
+
+// dial connects to one of the listeners (addr) on behalf of a request to
+// host and indexes the connection until it closes.
+func (g *gatewayServers) dial(ctx context.Context, network, addr, host string) (net.Conn, error) {
+	var d net.Dialer
+	c, err := d.DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	ic := &indexedConn{Conn: c, g: g, key: connKey(c.LocalAddr().String(), c.RemoteAddr().String()), host: host, ctx: ctx}
+	g.conns.Store(ic.key, ic)
+	return ic, nil
+}
+
+// expire ends the probe request whose connection carries r: the server
+// side's remote and local addresses are the client side's local and remote
+// ones. The host must match too, which guards a handler that runs only
+// after its client gave up and a new connection took over the 4-tuple. A
+// connection not made through dial (the C2 scanner's) keeps its stall.
+func (g *gatewayServers) expire(r *http.Request) {
+	local, ok := r.Context().Value(http.LocalAddrContextKey).(net.Addr)
+	if !ok {
+		return
+	}
+	if v, ok := g.conns.Load(connKey(r.RemoteAddr, local.String())); ok {
+		if ic := v.(*indexedConn); strings.EqualFold(ic.host, r.Host) {
+			probe.Expire(ic.ctx)
+		}
+	}
+}
+
+// connKey names a connection by its client and server addresses.
+func connKey(client, server string) string { return client + ">" + server }
+
+// indexedConn is an edge connection in the index. It leaves the index
+// before its socket closes, so the 4-tuple cannot be reused while the
+// entry still names it.
+type indexedConn struct {
+	net.Conn
+	g    *gatewayServers
+	key  string
+	host string          // the FQDN the connection was dialed for
+	ctx  context.Context // the dial context, carrying the probe request's expiry handle
+}
+
+func (c *indexedConn) Close() error {
+	c.g.conns.CompareAndDelete(c.key, c)
+	return c.Conn.Close()
 }
 
 // Close shuts both listeners down.

@@ -20,7 +20,8 @@ import (
 //   - unknown or deleted functions: 404 Not Found, except AWS, whose edge
 //     answers 403 Forbidden (paper §4.4);
 //   - internal-only functions: the gateway stalls until UnreachableDelay so
-//     clients observe a timeout;
+//     clients observe a timeout (Stalled lets the caller end that timeout
+//     at once);
 //   - IAM-protected functions: 401 from the platform.
 type Gateway struct {
 	Platform *Platform
@@ -29,6 +30,11 @@ type Gateway struct {
 	// UnreachableDelay is how long internal-only functions stall before the
 	// gateway gives up the connection. Tests shrink this.
 	UnreachableDelay time.Duration
+	// Stalled, when set, is told of each request the gateway starts holding
+	// for an internal-only function, so the caller can end the client's
+	// side of the stall at its deadline instead of waiting it out. The
+	// gateway holds the connection either way.
+	Stalled func(r *http.Request)
 
 	matcher *providers.Matcher
 
@@ -110,6 +116,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Write(resp.Body)
 	case errors.Is(err, ErrTimeout):
 		// Internal-only: hold the connection so the client times out.
+		if g.Stalled != nil {
+			g.Stalled(r)
+		}
 		select {
 		case <-r.Context().Done():
 		case <-time.After(g.UnreachableDelay):

@@ -21,7 +21,8 @@
 //     only retries or the HTTP fallback reach it)
 //   - response truncation (the connection dies after a byte budget, killing
 //     TLS handshakes and truncating plain-HTTP bodies)
-//   - latency spike (the dial stalls past any probe timeout)
+//   - latency spike (the dial stalls past any probe timeout; a probe
+//     request is ended at its deadline at once, see probe.Expire)
 //   - PDNS feed corruption (records/lines mangled so they fail validation —
 //     see corrupt.go)
 package fault
@@ -40,6 +41,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pdns"
+	"repro/internal/probe"
 )
 
 // Profile parameterises one chaos campaign: the per-FQDN probability of each
@@ -363,9 +365,14 @@ func (in *Injector) WrapDial(next DialFunc) DialFunc {
 		n := in.countDial(host)
 		switch {
 		case plan.Latency:
-			// Stall past any sane probe timeout; the caller's context
-			// deadline fires first and classifies as a timeout.
+			// The spike outlasts any sane probe timeout, so a probe
+			// request ends at its deadline at once; the prober files it as
+			// a timeout whatever error the dial returns. Any other dial
+			// stalls until the caller's context deadline fires.
 			in.mLatency.Inc()
+			if probe.Expire(ctx) {
+				return nil, ErrInjectedReset
+			}
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/probe"
 )
 
 func TestParseProfile(t *testing.T) {
@@ -303,5 +304,30 @@ func TestWrapDialLatencyHonorsContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("latency spike ignored the context (stalled %v)", elapsed)
+	}
+}
+
+// A spiked probe request ends at its deadline at once (probe.Expire): the
+// probe classifies it as a timeout without waiting the timeout out.
+func TestWrapDialLatencyExpiresProbeRequest(t *testing.T) {
+	in := New(Profile{Name: "t", Seed: 1, Latency: 1})
+	reg := obs.NewRegistry()
+	in.Instrument(reg)
+	const timeout = 30 * time.Second
+	in.SetSpikeDelay(3 * timeout)
+	p := probe.New(probe.Config{
+		Timeout:     timeout,
+		DialContext: in.WrapDial(pipeDialer(func(c net.Conn) { c.Close() })),
+	})
+	start := time.Now()
+	res := p.Probe(context.Background(), "slow.example.com")
+	if elapsed := time.Since(start); elapsed > timeout/10 {
+		t.Fatalf("spiked probe took %v, timeout %v", elapsed, timeout)
+	}
+	if res.Failure != probe.FailTimeout || res.Attempts != 2 {
+		t.Fatalf("result = %+v, want FailTimeout after 2 attempts", res)
+	}
+	if got := reg.Snapshot().Counters["fault_latency_injected_total"]; got != 2 {
+		t.Errorf("fault_latency_injected_total = %d, want 2 (one per scheme)", got)
 	}
 }

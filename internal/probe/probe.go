@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -83,7 +84,8 @@ type Config struct {
 	// DialContext overrides transport dialing; the simulation points this
 	// at the in-process gateway. TLS verification is relaxed only when a
 	// custom dialer is installed, because the simulated endpoints present
-	// a test certificate for a different name.
+	// a test certificate for a different name; the handshake then offers
+	// only the P-256 key exchange (see New).
 	DialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Retries is how many extra attempts each scheme gets after a
 	// connection-class failure (resets and refusals — not timeouts, which
@@ -161,6 +163,7 @@ type Prober struct {
 	mOptOuts    *obs.Counter   // probe_optouts_total
 	mBreakerSk  *obs.Counter   // probe_breaker_skips_total: short-circuited by the breaker
 	mBodyAborts *obs.Counter   // probe_body_aborts_total: body drains cut by cancellation
+	mExpired    *obs.Counter   // probe_expired_total: requests ended at their deadline by Expire
 
 	// Dimensional telemetry (nil-safe like the rest).
 	mOutcomes   *obs.CounterVec   // probe_outcomes_total{provider,outcome,attempt_class}
@@ -195,7 +198,13 @@ func New(cfg Config) *Prober {
 	if cfg.DialContext != nil {
 		tr.DialContext = cfg.DialContext
 		if !cfg.KeepTLSVerify {
-			tr.TLSClientConfig = &tls.Config{InsecureSkipVerify: true}
+			// The simulated edge needs a handshake, not post-quantum key
+			// exchange: offering only P-256 skips the hybrid ML-KEM key
+			// share, which roughly doubles the CPU cost of a handshake.
+			tr.TLSClientConfig = &tls.Config{
+				InsecureSkipVerify: true,
+				CurvePreferences:   []tls.CurveID{tls.CurveP256},
+			}
 		}
 	}
 	return &Prober{
@@ -211,6 +220,7 @@ func New(cfg Config) *Prober {
 		mOptOuts:    cfg.Metrics.Counter("probe_optouts_total"),
 		mBreakerSk:  cfg.Metrics.Counter("probe_breaker_skips_total"),
 		mBodyAborts: cfg.Metrics.Counter("probe_body_aborts_total"),
+		mExpired:    cfg.Metrics.Counter("probe_expired_total"),
 		mOutcomes:   cfg.Metrics.CounterVec("probe_outcomes_total", "provider", "outcome", "attempt_class"),
 		mLatencyVec: cfg.Metrics.HistogramVec("probe_request_seconds", nil, "provider"),
 		client: &http.Client{
@@ -254,14 +264,16 @@ func (p *Prober) Stats() Stats {
 // Retries configured, connection-class failures (resets, refusals) earn up
 // to Retries extra attempts per scheme with exponential backoff and
 // deterministic per-FQDN jitter; timeouts and DNS failures never retry.
-func (p *Prober) Probe(ctx context.Context, fqdn string) Result {
+func (p *Prober) Probe(ctx context.Context, fqdn string) (res Result) {
 	start := time.Now()
-	res := Result{FQDN: fqdn}
+	res = Result{FQDN: fqdn}
 	connRetries := 0
 	provider := p.provider(fqdn)
 	p.mInflight.Add(1)
 	defer func() {
-		res.Elapsed = time.Since(start)
+		// res is the named result, so Elapsed reaches the caller; tryScheme
+		// has already credited each expired request's unspent deadline.
+		res.Elapsed += time.Since(start)
 		p.mInflight.Add(-1)
 		if res.Attempts > 1 {
 			p.mRetries.Add(int64(res.Attempts - 1))
@@ -407,9 +419,13 @@ func (p *Prober) backoff(ctx context.Context, fqdn string, try int) bool {
 	}
 }
 
-// tryScheme issues one parameter-free GET.
+// tryScheme issues one parameter-free GET. The request carries an expiry
+// handle in its context, so a planned stall can end it through Expire.
 func (p *Prober) tryScheme(ctx context.Context, scheme, fqdn, provider string, res *Result) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, scheme+"://"+fqdn+"/", nil)
+	rctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	ex := &expiry{cancel: cancel}
+	req, err := http.NewRequestWithContext(context.WithValue(rctx, expiryKey{}, ex), http.MethodGet, scheme+"://"+fqdn+"/", nil)
 	if err != nil {
 		return false, err
 	}
@@ -417,9 +433,21 @@ func (p *Prober) tryScheme(ctx context.Context, scheme, fqdn, provider string, r
 	reqStart := time.Now()
 	p.mRequests.Inc()
 	resp, err := p.client.Do(req)
-	elapsed := time.Since(reqStart).Seconds()
-	p.mLatency.Observe(elapsed)
-	p.mLatencyVec.With(provider).Observe(elapsed)
+	elapsed := time.Since(reqStart)
+	if ex.fired.Load() {
+		// The request stood for a full timeout: record it at the deadline
+		// it was cut short of, in the histograms and in Result.Elapsed.
+		// DeadlineExceeded is a net.Error timeout, so classifyError files
+		// it with the client's own timeouts.
+		if err == nil {
+			resp.Body.Close()
+		}
+		res.Elapsed += p.cfg.Timeout - elapsed
+		elapsed, err = p.cfg.Timeout, context.DeadlineExceeded
+		p.mExpired.Inc()
+	}
+	p.mLatency.Observe(elapsed.Seconds())
+	p.mLatencyVec.With(provider).Observe(elapsed.Seconds())
 	if err != nil {
 		return false, err
 	}
@@ -433,6 +461,36 @@ func (p *Prober) tryScheme(ctx context.Context, scheme, fqdn, provider string, r
 	res.Location = resp.Header.Get("Location")
 	res.Body = body
 	return true, nil
+}
+
+// expiryKey keys a request's *expiry in its context. http.Transport keeps
+// the request context's values on the dial context, so a dial hook reaches
+// the handle too.
+type expiryKey struct{}
+
+// expiry is one request's virtual deadline.
+type expiry struct {
+	cancel context.CancelCauseFunc
+	fired  atomic.Bool
+}
+
+// Expire ends the probe request that ctx belongs to at once, as a timeout:
+// the request fails FailTimeout with the accounting a real timeout gets (its
+// attempt counts, it is not retried, the breaker records a failure) and is
+// observed at Config.Timeout in probe_request_seconds and Result.Elapsed.
+// Code that knows a request will stall past its deadline — the simulated
+// edge holding an internal-only function, an injected latency spike — calls
+// it instead of waiting the deadline out. It reports whether ctx carried a
+// probe request; on false the caller's stall proceeds on the real clock,
+// where the client's Timeout still ends it.
+func Expire(ctx context.Context) bool {
+	ex, ok := ctx.Value(expiryKey{}).(*expiry)
+	if !ok {
+		return false
+	}
+	ex.fired.Store(true)
+	ex.cancel(context.DeadlineExceeded)
+	return true
 }
 
 // drainBody reads up to MaxBody bytes. The request was built with ctx, so

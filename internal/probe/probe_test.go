@@ -2,11 +2,14 @@ package probe
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -60,6 +63,33 @@ func TestProbeHTTPSPreferred(t *testing.T) {
 	}
 	if string(res.Body) != `{"ok":true}` {
 		t.Errorf("body = %q", res.Body)
+	}
+}
+
+// TestSimulatedEdgeOffersP256Only pins the simulated-edge handshake: with
+// a custom dialer and relaxed verification the prober offers one key
+// exchange, P-256, not Go's default hybrid ML-KEM share, which roughly
+// doubles the CPU of each handshake in a CPU-bound sweep.
+func TestSimulatedEdgeOffersP256Only(t *testing.T) {
+	var mu sync.Mutex
+	var offered []tls.CurveID
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	srv.TLS = &tls.Config{GetConfigForClient: func(hello *tls.ClientHelloInfo) (*tls.Config, error) {
+		mu.Lock()
+		offered = hello.SupportedCurves
+		mu.Unlock()
+		return nil, nil
+	}}
+	srv.StartTLS()
+	defer srv.Close()
+	p := New(Config{DialContext: dialTo(srv.Listener.Addr().String()), Timeout: 2 * time.Second})
+	if res := p.Probe(context.Background(), "f.example.com"); !res.HTTPS {
+		t.Fatalf("result = %+v, want an HTTPS response", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []tls.CurveID{tls.CurveP256}; !slices.Equal(offered, want) {
+		t.Errorf("client offered curves %v, want %v", offered, want)
 	}
 }
 
